@@ -14,6 +14,12 @@ Two numerical checks certify the data a run depends on:
   parameter-mismatch drift |f(x, theta_hat) - f(x, theta)| (Delta), each
   inflated by a small safety factor.
 
+Both walk the grid in fixed-size chunks of states, one vectorized pass per
+chunk, so the temporaries stay bounded however fine the grid is. Like ``f``,
+a model's ``jacobian_f`` maps states of shape (..., n) to Jacobians of shape
+(..., n, n); a Jacobian that does not depend on the state may come back as
+one (n, n) matrix and is broadcast.
+
 For the built-in model both checks are exhaustive on a [-pi, pi]^2 grid
 because its Jacobian depends on the state only through bounded trig terms.
 """
@@ -27,12 +33,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificateError, ModelError
-from .linalg import eigvalsh, is_symmetric, max_eig, spectral_norm
+from .linalg import eigvalsh, is_symmetric, spectral_norm
+
+# Grid points per vectorized pass of check_cmf and estimate_lipschitz.
+_GRID_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Input-affine model dx/dt = f(x, theta) + B u with a boxed parameter."""
+    """Input-affine model dx/dt = f(x, theta) + B u with a boxed parameter.
+
+    ``f`` maps states (..., n) to drifts (..., n) and ``jacobian_f`` maps them
+    to Jacobians (..., n, n), or to one (n, n) matrix when constant.
+    """
 
     name: str
     state_dim: int
@@ -122,15 +135,13 @@ def _paper_f(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def _paper_jacobian(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     th = float(theta[0])
-    z1 = float(x[0])
-    z2 = float(x[1])
-    s2 = math.sin(z2)
-    return np.array(
-        [
-            [0.0, 1.0 - th * s2],
-            [-1.0 + th * th * math.cos(2.0 * z1), -th * s2],
-        ]
-    )
+    x = np.asarray(x, dtype=float)
+    s2 = np.sin(x[..., 1])
+    J = np.zeros(x.shape[:-1] + (2, 2))
+    J[..., 0, 1] = 1.0 - th * s2
+    J[..., 1, 0] = -1.0 + th * th * np.cos(2.0 * x[..., 0])
+    J[..., 1, 1] = -th * s2
+    return J
 
 
 def _build_paper_sys(theta=None, theta_hat=None) -> SystemModel:
@@ -159,6 +170,28 @@ def trig_grid(step: float = 0.05, bound: float = math.pi) -> np.ndarray:
     axis = np.arange(-bound, bound + 1e-9, step)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     return np.stack([g1.ravel(), g2.ravel()], axis=1)
+
+
+def _grid(model: SystemModel, states) -> np.ndarray:
+    states = np.asarray(states, dtype=float)
+    if states.size == 0:
+        raise ModelError("state grid is empty")
+    if states.ndim != 2 or states.shape[1] != model.state_dim:
+        raise ModelError(
+            f"state grid must have shape (K, {model.state_dim}), got {states.shape}"
+        )
+    return states
+
+
+def _chunks(states: np.ndarray):
+    for start in range(0, states.shape[0], _GRID_CHUNK):
+        yield states[start : start + _GRID_CHUNK]
+
+
+def _jacobians(model: SystemModel, xs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Jacobians at a chunk of states, (K, n, n), broadcasting a constant one."""
+    J = np.asarray(model.jacobian_f(xs, theta), dtype=float)
+    return np.broadcast_to(J, xs.shape + (model.state_dim,))
 
 
 # --- decay certificate -------------------------------------------------------
@@ -212,15 +245,11 @@ def check_cmf(
 
     Returns a report whose ``worst_margin`` is the largest eigenvalue of
     J' P + P J - rho P B B' P + q P seen anywhere on the grid; the
-    certificate holds when that value stays at or below ``tolerance``.
+    certificate holds when that value stays at or below ``tolerance``. The
+    worst point is the first strict maximum in theta-major, then grid order;
+    a NaN margin is never the worst.
     """
-    states = np.asarray(states, dtype=float)
-    if states.size == 0:
-        raise ModelError("state grid is empty")
-    if states.ndim != 2 or states.shape[1] != model.state_dim:
-        raise ModelError(
-            f"state grid must have shape (K, {model.state_dim}), got {states.shape}"
-        )
+    states = _grid(model, states)
     if thetas is None:
         thetas = (model.theta_true, model.theta_hat)
     thetas = [_as_theta(model, th) for th in thetas]
@@ -230,21 +259,20 @@ def check_cmf(
     offset = cert.q * P - cert.rho * pbbp
     worst = -math.inf
     worst_point = None
-    count = 0
     for th in thetas:
-        for x in states:
-            J = model.jacobian_f(x, th)
-            m = max_eig(J.T @ P + P @ J + offset)
-            count += 1
-            if m > worst:
-                worst = m
-                worst_point = (tuple(float(v) for v in x), tuple(float(v) for v in th))
+        for xs in _chunks(states):
+            J = _jacobians(model, xs, th)
+            m = eigvalsh(np.matmul(np.swapaxes(J, 1, 2), P) + np.matmul(P, J) + offset)[:, -1]
+            i = int(np.argmax(np.where(np.isnan(m), -math.inf, m)))
+            if m[i] > worst:
+                worst = float(m[i])
+                worst_point = (tuple(float(v) for v in xs[i]), tuple(float(v) for v in th))
     report = CmfReport(
         holds=bool(worst <= tolerance),
         worst_margin=float(worst),
         worst_point=worst_point,
         tolerance=tolerance,
-        n_points=count,
+        n_points=len(thetas) * states.shape[0],
     )
     cert.sample_report = report
     return report
@@ -275,25 +303,24 @@ def estimate_lipschitz(
     safety: float = 1.05,
 ) -> LipschitzData:
     """Bound the state Lipschitz constant and the parameter-mismatch drift."""
-    states = np.asarray(states, dtype=float)
-    if states.size == 0:
-        raise ModelError("state grid is empty")
-    if states.ndim != 2 or states.shape[1] != model.state_dim:
-        raise ModelError(
-            f"state grid must have shape (K, {model.state_dim}), got {states.shape}"
-        )
+    states = _grid(model, states)
     if thetas is None:
         thetas = (model.theta_true, model.theta_hat)
     thetas = [_as_theta(model, th) for th in thetas]
 
     k_raw = 0.0
     for th in thetas:
-        for x in states:
-            k_raw = max(k_raw, spectral_norm(model.jacobian_f(x, th)))
-    drift = model.f(states, _as_theta(model, model.theta_hat)) - model.f(
-        states, _as_theta(model, model.theta_true)
-    )
-    delta_raw = float(np.sqrt((drift * drift).sum(axis=1)).max())
+        for xs in _chunks(states):
+            top = float(np.fmax.reduce(spectral_norm(_jacobians(model, xs, th))))
+            if top > k_raw:
+                k_raw = top
+    theta_hat = _as_theta(model, model.theta_hat)
+    theta_true = _as_theta(model, model.theta_true)
+    drift_max = []
+    for xs in _chunks(states):
+        drift = model.f(xs, theta_hat) - model.f(xs, theta_true)
+        drift_max.append(np.sqrt((drift * drift).sum(axis=1)).max())
+    delta_raw = float(np.max(drift_max))
     return LipschitzData(
         k=safety * k_raw,
         Delta=safety * delta_raw,

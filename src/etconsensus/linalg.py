@@ -16,8 +16,17 @@ _MAX_SWEEPS = 64
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi sweeps."""
+    """Eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi sweeps.
+
+    A stack of shape (K, n, n) gives a (K, n) array whose rows are bit for bit
+    the eigenvalues of each matrix alone; 2x2 stacks take one vectorized
+    rotation instead of a Python loop per matrix.
+    """
     a = np.array(a, dtype=float)
+    if a.ndim == 3 and a.shape[1] == a.shape[2]:
+        if a.shape[1] == 2:
+            return _jacobi_2x2(a)
+        return np.array([eigvalsh(m) for m in a]).reshape(a.shape[:2])
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -53,14 +62,49 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     return np.sort(np.diag(a))
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a (any rectangular shape)."""
+def _jacobi_2x2(a: np.ndarray) -> np.ndarray:
+    """The sweep loop of ``eigvalsh`` on a (K, 2, 2) stack, with its arithmetic.
+
+    A 2x2 matrix converges after at most one rotation, so one vectorized
+    rotation of the matrices the loop would rotate replaces the loop. It
+    raises where the loop would not converge: on a NaN norm.
+    """
+    scale = np.sqrt((a * a).sum(axis=(1, 2)))
+    if np.isnan(scale).any():
+        raise NumericsError("Jacobi eigenvalue iteration did not converge")
+    apq = a[:, 0, 1]
+    off = np.sqrt(2.0 * (apq * apq))
+    rotate = ~(off <= 1e-15 * scale) & ~(np.abs(apq) <= 1e-18 * scale)
+    if rotate.any():
+        r = a[rotate]
+        theta = (r[:, 1, 1] - r[:, 0, 0]) / (2.0 * r[:, 0, 1])
+        t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+        t[theta == 0.0] = 1.0
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        s = t * c
+        rot = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
+        r = np.matmul(np.matmul(np.swapaxes(rot, 1, 2), r), rot)
+        r[:, 0, 1] = 0.0
+        r[:, 1, 0] = 0.0
+        a[rotate] = r
+    ev = np.sort(np.diagonal(a, axis1=1, axis2=2), axis=1)
+    ev[scale == 0.0] = 0.0
+    return ev
+
+
+def spectral_norm(a: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a (any rectangular shape).
+
+    A stack of shape (K, m, n) gives the K norms as an array.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
-    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-    ev = eigvalsh(gram)
-    return float(np.sqrt(max(ev[-1], 0.0)))
+    at = np.swapaxes(a, -1, -2)
+    gram = np.matmul(at, a) if a.shape[-2] >= a.shape[-1] else np.matmul(a, at)
+    top = eigvalsh(gram)[..., -1]
+    norm = np.sqrt(np.where(top < 0.0, 0.0, top))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def min_eig(a: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,12 +140,60 @@ class Prepared:
     Q: np.ndarray
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_field_types(cfg: SimConfig) -> None:
+    """Reject a wrong type or a non-finite number before any field is used."""
+    if not _is_int(cfg.n_agents) or cfg.n_agents < 1:
+        raise ConfigError(f"n_agents must be a positive integer, got {cfg.n_agents!r}")
+    if not isinstance(cfg.model, str):
+        raise ConfigError(f"model must be a model name, got {cfg.model!r}")
+    for name in ("dump_estimates", "check_synchrony"):
+        if not isinstance(getattr(cfg, name), (bool, np.bool_)):
+            raise ConfigError(f"{name} must be true or false, got {getattr(cfg, name)!r}")
+    for name in ("h", "duration", "kappa1", "kappa2", "xi", "rho", "q", "epsilon"):
+        v = getattr(cfg, name)
+        if not (_is_finite_real(v) or (v is None and name == "epsilon")):
+            raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    for name in ("theta", "theta_hat", "x0", "sigma", "b", "P"):
+        v = getattr(cfg, name)
+        if v is None and name == "b":
+            continue
+        try:
+            arr = np.asarray(v)
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise ConfigError(
+                f"{name} must be a number or a rectangular array of finite numbers, got {v!r}"
+            )
+    edges = cfg.edges if isinstance(cfg.edges, (list, tuple)) else [cfg.edges]
+    for edge in edges:
+        if not (
+            isinstance(edge, (list, tuple))
+            and len(edge) in (2, 3)
+            and all(_is_int(v) for v in edge[:2])
+            and all(_is_finite_real(v) for v in edge[2:])
+        ):
+            raise ConfigError(
+                f"edges entry {edge!r} must be [i, j] or [i, j, weight]"
+                " with integer agent ids and a finite weight"
+            )
+
+
 def prepare(cfg: SimConfig) -> Prepared:
     """Validate a config and derive every object a run needs.
 
     Raises ConfigError (or a more specific package error) naming the field
     and the violated constraint.
     """
+    _check_field_types(cfg)
     if cfg.h <= 0.0:
         raise ConfigError(f"h must be > 0, got {cfg.h!r}")
     if cfg.duration < 0.0:
@@ -609,32 +658,39 @@ def zeno_guard_report(
 # --- file outputs ------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+# Rows of states.csv gathered into one array per block before formatting.
+_WRITE_BLOCK = 256
 
 
 def write_run_outputs(record: RunRecord, out_dir, extra_summary: dict | None = None) -> Path:
-    """Write states.csv, events.csv and summary.json into ``out_dir``."""
+    """Write states.csv, events.csv and summary.json into ``out_dir``.
+
+    The CSVs are streamed: states go out in blocks of rows and each row is
+    formatted on its own, so no file's full text is held in memory. One
+    "%.17g" per value gives the same text as format(v, ".17g") for every
+    double, -0.0, subnormals, inf and nan included.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_agents = record.states.shape[1]
-    n = record.states.shape[2]
+    n_samples, n_agents, n = record.states.shape
 
     cols = [f"x{i + 1}_{d + 1}" for i in range(n_agents) for d in range(n)]
+    series = [record.times[:, None], record.states.reshape(n_samples, -1)]
     if record.est_series is not None:
         cols += [f"xhat{i + 1}_{d + 1}" for i in range(n_agents) for d in range(n)]
-    lines = ["t," + ",".join(cols)]
-    for k in range(record.states.shape[0]):
-        row = [_fmt(record.times[k])]
-        row += [_fmt(v) for v in record.states[k].ravel()]
-        if record.est_series is not None:
-            row += [_fmt(v) for v in record.est_series[k].ravel()]
-        lines.append(",".join(row))
-    (out / "states.csv").write_text("\n".join(lines) + "\n")
+        series.append(record.est_series.reshape(n_samples, -1))
+    row_fmt = ",".join(["%.17g"] * (len(cols) + 1)) + "\n"
+    with (out / "states.csv").open("w") as fh:
+        fh.write("t," + ",".join(cols) + "\n")
+        for start in range(0, n_samples, _WRITE_BLOCK):
+            block = np.concatenate([s[start : start + _WRITE_BLOCK] for s in series], axis=1)
+            for row in block:
+                fh.write(row_fmt % tuple(row.tolist()))
 
-    ev_lines = ["t,agent"]
-    ev_lines += [f"{_fmt(t)},{agent + 1}" for t, agent in record.events]
-    (out / "events.csv").write_text("\n".join(ev_lines) + "\n")
+    with (out / "events.csv").open("w") as fh:
+        fh.write("t,agent\n")
+        for t, agent in record.events:
+            fh.write("%.17g,%d\n" % (t, agent + 1))
 
     report = metrics_mod.compute_metrics(record)
     summary = {

@@ -131,6 +131,32 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match=r"rho/\(2\*mu\)"):
             load_config(write_json(tmp_path / "k.json", d))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("duration", "10"),
+            ("h", math.nan),
+            ("duration", math.inf),
+            ("n_agents", True),
+            ("sigma", "high"),
+            ("x0", [[0.95, 0.63], [-0.70], [-0.33, -0.54], [-0.25, 0.02], [0.86, 0.01]]),
+            ("n_agents", -1),
+            ("model", ["paper-sys"]),
+            ("dump_estimates", "no"),
+            ("edges", [[1, "2"], [2, 3], [2, 5], [3, 4]]),
+            ("edges", [[1, 2, math.nan], [2, 3], [2, 5], [3, 4]]),
+            ("edges", [1, 2]),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_field(self, field, value, tmp_path, capsys):
+        d = preset_config("paper-asym-040")
+        d[field] = value
+        cfgp = write_json(tmp_path / "c.json", d)
+        assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert field in err
+
 
 class TestRunCommand:
     def test_writes_three_files(self, short_run):
