@@ -13,22 +13,20 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .config import (
     PRESET_NAMES,
-    config_from_dict,
     load_config,
     load_preset,
+    prepare_dict,
     preset_config,
 )
 from .control import practical_consensus_bound
-from .dynamics import CmfCertificate, check_cmf, estimate_lipschitz, make_model, trig_grid
+from .dynamics import check_cmf, estimate_lipschitz, trig_grid
 from .errors import ConfigError, EtcError, NumericsError
 from .metrics import MetricReport, compute_metrics, markdown_tables
 from .simulator import (
+    Prepared,
     load_run_record,
-    prepare,
     run,
     write_run_outputs,
     zeno_guard_report,
@@ -38,28 +36,32 @@ _SWEEP_LIMIT = 10_000
 
 
 def _load_spec(args):
+    """The run named by --preset or --config, with --integrator merged in."""
     if bool(args.preset) == bool(args.config):
         raise ConfigError("provide exactly one of --preset or --config")
+    integrator = getattr(args, "integrator", None)
+    overrides = {"integrator": integrator} if integrator else {}
     if args.preset:
-        return load_preset(args.preset)
-    return load_config(args.config)
+        return load_preset(args.preset, **overrides)
+    return load_config(args.config, **overrides)
 
 
 def _fmt_sig(v) -> str:
     return format(float(v), ".17g")
 
 
-def _run_once(cfg, out_dir: Path) -> dict:
-    """Run one config, write outputs, return the metric report dict."""
-    record = run(cfg)
+def _run_once(prep: Prepared, out_dir: Path) -> dict:
+    """Run one prepared config, write outputs, return the metric report dict."""
+    cfg = prep.cfg
+    # The Lipschitz grid goes first, so its arrays are freed before the record's exist.
+    lip = estimate_lipschitz(prep.model, trig_grid()) if cfg.ctc == "practical" else None
+    record = run(prep)
     extra = {}
-    if cfg.ctc == "practical":
-        model = make_model(cfg.model, cfg.theta, cfg.theta_hat)
-        lip = estimate_lipschitz(model, trig_grid())
-        guard = zeno_guard_report(record, prepare(cfg).params, lip)
+    if lip is not None:
+        guard = zeno_guard_report(record, prep.params, lip)
         extra["bounds"] = {
             "practical_consensus_bound": practical_consensus_bound(
-                cfg.n_agents, cfg.xi, cfg.q, np.asarray(cfg.P, dtype=float)
+                cfg.n_agents, cfg.xi, cfg.q, prep.cert.P
             ),
             "lipschitz": {"k": lip.k, "Delta": lip.Delta},
         }
@@ -69,19 +71,16 @@ def _run_once(cfg, out_dir: Path) -> dict:
             "w_max": list(guard.w_max),
             "satisfied": guard.satisfied,
         }
-    write_run_outputs(record, out_dir, extra_summary=extra)
-    return compute_metrics(record).to_dict()
+    report = compute_metrics(record)
+    write_run_outputs(record, out_dir, extra_summary=extra, report=report)
+    return report.to_dict()
 
 
 def cmd_run(args) -> int:
     spec = _load_spec(args)
-    cfg = spec.config
-    if args.integrator:
-        cfg.integrator = args.integrator
-        prepare(cfg)
     out = Path(args.out)
     try:
-        report = _run_once(cfg, out)
+        report = _run_once(spec.prepared, out)
     except NumericsError as exc:
         if exc.partial_record is not None:
             write_run_outputs(exc.partial_record, out)
@@ -138,8 +137,7 @@ def _sweep_points(grid: dict):
 
 def _sweep_worker(item) -> tuple[str, dict]:
     slug, config_dict, out_dir = item
-    cfg = config_from_dict(config_dict)
-    return slug, _run_once(cfg, Path(out_dir) / slug)
+    return slug, _run_once(prepare_dict(config_dict), Path(out_dir) / slug)
 
 
 def cmd_sweep(args) -> int:
@@ -197,11 +195,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check_cmf(args) -> int:
-    spec = _load_spec(args)
-    cfg = spec.config
-    model = make_model(cfg.model, cfg.theta, cfg.theta_hat)
-    cert = CmfCertificate(P=np.asarray(cfg.P, dtype=float), rho=cfg.rho, q=cfg.q)
-    report = check_cmf(model, cert, trig_grid(step=args.grid_step))
+    prep = _load_spec(args).prepared
+    report = check_cmf(prep.model, prep.cert, trig_grid(step=args.grid_step))
     payload = {
         "holds": report.holds,
         "worst_margin": report.worst_margin,
@@ -211,9 +206,9 @@ def cmd_check_cmf(args) -> int:
         },
         "tolerance": report.tolerance,
         "n_points": report.n_points,
-        "P": np.asarray(cfg.P, dtype=float).tolist(),
-        "rho": cfg.rho,
-        "q": cfg.q,
+        "P": prep.cert.P.tolist(),
+        "rho": prep.cert.rho,
+        "q": prep.cert.q,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)

@@ -2,9 +2,10 @@
 
 A config file is one flat JSON object whose keys match SimConfig's fields.
 Optional keys take documented defaults (h = 0.01, integrator = rk4,
-epsilon = 1/lambda_max, b_i = 1/(5 l_ii) via null). Loading always validates
-the full parameter set, so a RunSpec that comes back from ``load_config`` is
-runnable as-is.
+epsilon = 1/lambda_max, b_i = 1/(5 l_ii) via null). Loading validates the
+full parameter set once, through ``prepare``, and a RunSpec that comes back
+from ``load_config`` carries the result: ``run(spec.prepared)`` runs it
+without validating or deriving anything again.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .simulator import SimConfig, prepare
+from .simulator import Prepared, SimConfig, prepare
 
 _FIG1_EDGES = [[1, 2, 1.0], [2, 3, 1.0], [2, 5, 1.0], [3, 4, 1.0]]
 _X0 = [
@@ -102,11 +103,15 @@ _REQUIRED = (
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A validated run request: the config plus where it came from."""
+    """A validated run request: the prepared run plus where it came from."""
 
-    config: SimConfig
+    prepared: Prepared
     preset: str | None = None
     source: str | None = None
+
+    @property
+    def config(self) -> SimConfig:
+        return self.prepared.cfg
 
 
 def preset_config(name: str) -> dict:
@@ -120,8 +125,11 @@ def preset_config(name: str) -> dict:
         ) from None
 
 
-def config_from_dict(data: dict) -> SimConfig:
-    """Build and validate a SimConfig from a flat dict of config keys."""
+def prepare_dict(data: dict, **overrides) -> Prepared:
+    """Build, validate and derive a run from a flat dict of config keys.
+
+    ``overrides`` replace keys of ``data`` before the one validation.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     known = {f.name for f in fields(SimConfig)}
@@ -133,18 +141,22 @@ def config_from_dict(data: dict) -> SimConfig:
         raise ConfigError(f"missing required config field(s): {', '.join(missing)}")
     merged = dict(_DEFAULTS)
     merged.update(data)
-    cfg = SimConfig(**merged)
-    prepare(cfg)
-    return cfg
+    merged.update(overrides)
+    return prepare(SimConfig(**merged))
 
 
-def load_preset(name: str) -> RunSpec:
-    cfg = config_from_dict(preset_config(name))
-    return RunSpec(config=cfg, preset=name)
+def config_from_dict(data: dict) -> SimConfig:
+    """Build and validate a SimConfig from a flat dict of config keys."""
+    return prepare_dict(data).cfg
 
 
-def load_config(path) -> RunSpec:
-    """Load and validate a JSON config file."""
+def load_preset(name: str, **overrides) -> RunSpec:
+    """Load and validate a named preset, with ``overrides`` merged in first."""
+    return RunSpec(prepared=prepare_dict(preset_config(name), **overrides), preset=name)
+
+
+def load_config(path, **overrides) -> RunSpec:
+    """Load and validate a JSON config file, with ``overrides`` merged in first."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -154,8 +166,7 @@ def load_config(path) -> RunSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    cfg = config_from_dict(data)
-    return RunSpec(config=cfg, source=str(path))
+    return RunSpec(prepared=prepare_dict(data, **overrides), source=str(path))
 
 
 def serialize_config(cfg: SimConfig) -> dict:

@@ -1,12 +1,19 @@
 """Deterministic dense linear algebra for small symmetric matrices.
 
 Eigenvalues are computed with cyclic Jacobi rotation sweeps instead of a
-LAPACK call so results do not depend on the BLAS build or thread count.
-Every matrix handled by this package is tiny (a few tens of rows), where
-Jacobi is both fast and accurate to machine precision.
+LAPACK call, so they do not depend on LAPACK's algorithm choices or thread
+count. The rotation products go through numpy ``matmul``, that is the BLAS
+dgemm kernel (OpenBLAS, with fused multiply-adds), whose rounding an
+elementwise ``c*x - s*y`` does not reproduce. Results are therefore bit for
+bit deterministic for a fixed numpy/BLAS build; the golden-output digests in
+the tests pin that build's bits. Every matrix handled by this package is tiny
+(a few tens of rows), where Jacobi is both fast and accurate to machine
+precision.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +24,12 @@ _MAX_SWEEPS = 64
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi sweeps.
+
+    The matrix must be bitwise symmetric (``a == a.T`` exactly, as
+    ``is_symmetric`` checks): each rotation computes rows p and q and mirrors
+    them into columns p and q, which for such a matrix equals the column
+    product ``a[:, [p, q]] @ rot`` element by element. A 2x2 matrix is exempt,
+    since its rotation rewrites every entry.
 
     A stack of shape (K, n, n) gives a (K, n) array whose rows are bit for bit
     the eigenvalues of each matrix alone; 2x2 stacks take one vectorized
@@ -33,28 +46,38 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     if n == 1:
         return a[0].copy()
     scale = np.sqrt((a * a).sum())
+    if np.isnan(scale):  # no sweep can converge
+        raise NumericsError("Jacobi eigenvalue iteration did not converge")
     if scale == 0.0:
         return np.zeros(n)
+    converged = 1e-15 * scale
+    negligible = 1e-18 * float(scale)
+    item = a.item
     for _ in range(_MAX_SWEEPS):
         off = np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum())
-        if off <= 1e-15 * scale:
+        if off <= converged:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
+                apq = item(p, q)
+                if abs(apq) <= negligible:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                theta = (item(q, q) - item(p, p)) / (2.0 * apq)
                 if theta == 0.0:
                     t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                else:
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 rot = np.array([[c, s], [-s, c]])
-                rows = a[[p, q], :]
-                a[[p, q], :] = rot.T @ rows
-                cols = a[:, [p, q]]
-                a[:, [p, q]] = cols @ rot
+                pq = slice(p, q + 1, q - p)  # rows or columns p and q
+                rows = rot.T @ a[pq]
+                a[pq] = rows
+                a[:, pq] = rows.T
+                # The diagonal pair follows the row product by the column one.
+                block = rows[:, pq] @ rot
+                a[p, p] = block[0, 0]
+                a[q, q] = block[1, 1]
                 a[p, q] = 0.0
                 a[q, p] = 0.0
     else:

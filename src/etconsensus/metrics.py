@@ -44,10 +44,19 @@ class MetricReport:
         }
 
 
+# Samples per block when forming the leader distances |r_i(k)| from the states.
+_NORM_BLOCK = 256
+
+
 def compute_metrics(record, chi: float = 0.1) -> MetricReport:
     """Gamma and its components for one record, at communication weight chi."""
-    n_agents = record.states.shape[1]
-    r_norms = np.sqrt((record.r_series * record.r_series).sum(axis=2))
+    states = record.states
+    n_samples, n_agents, _ = states.shape
+    r_norms = np.empty((n_samples, n_agents))
+    for start in range(0, n_samples, _NORM_BLOCK):
+        block = states[start : start + _NORM_BLOCK]
+        r = block - block[:, :1, :]
+        r_norms[start : start + _NORM_BLOCK] = np.sqrt((r * r).sum(axis=2))
     consensus_sum = float(r_norms.sum() / n_agents)
     comm_count = len(record.events)
     gamma = consensus_sum + chi * comm_count / n_agents

@@ -7,8 +7,9 @@ step, then the triggering conditions are evaluated for all agents on the
 post-integration values and every firing agent broadcasts its true state in
 one synchronous batch, so evaluation order cannot leak between agents.
 
-Runs are bit-for-bit reproducible: no randomness, no wall-clock dependence in
-the dynamics, and eigenvalue routines that do not depend on the BLAS build.
+Runs are bit-for-bit reproducible for a fixed numpy/BLAS build: no
+randomness, no wall-clock dependence in the dynamics, and a deterministic
+Jacobi eigensolver instead of LAPACK.
 The leader's row is never touched by the control term, so its trajectory is
 bitwise identical to a leader integrated alone.
 """
@@ -138,6 +139,7 @@ class Prepared:
     own_pos: tuple
     sync_groups: tuple
     Q: np.ndarray
+    n_steps: int
 
 
 def _is_int(v) -> bool:
@@ -198,6 +200,12 @@ def prepare(cfg: SimConfig) -> Prepared:
         raise ConfigError(f"h must be > 0, got {cfg.h!r}")
     if cfg.duration < 0.0:
         raise ConfigError(f"duration must be >= 0, got {cfg.duration!r}")
+    steps = cfg.duration / cfg.h
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
+        raise ConfigError(
+            f"duration must be an integer multiple of h, got duration = {cfg.duration!r}"
+            f" and h = {cfg.h!r}"
+        )
     if cfg.integrator not in INTEGRATORS:
         raise ConfigError(
             f"integrator must be one of {INTEGRATORS}, got {cfg.integrator!r}"
@@ -260,6 +268,7 @@ def prepare(cfg: SimConfig) -> Prepared:
         own_pos=own_pos,
         sync_groups=tuple(groups),
         Q=Q,
+        n_steps=int(round(steps)),
     )
 
 
@@ -282,9 +291,9 @@ def initial_world(prep: Prepared) -> WorldState:
     )
 
 
-def step(world: WorldState, cfg: SimConfig) -> WorldState:
-    """Advance one step. Convenience wrapper that re-validates cfg each call."""
-    return _step(world, prepare(cfg))
+def step(world: WorldState, prep: Prepared) -> WorldState:
+    """Advance one step of the prepared run."""
+    return _step(world, prep)
 
 
 def _step(world: WorldState, prep: Prepared) -> WorldState:
@@ -372,14 +381,14 @@ class RunRecord:
     ``delta``, ``threshold``, ``w_norm``, ``e_norm`` hold the trigger
     quantities as evaluated at each instant's CTC check (pre-reset);
     ``e_norm_post`` holds the estimation error after the batch of resets, so
-    it is exactly zero wherever an event fired.
+    it is exactly zero wherever an event fired. ``r_series``, each agent's
+    offset from the leader, is derived from ``states`` on access.
     """
 
     times: np.ndarray
     states: np.ndarray
     events: list
     event_flags: np.ndarray
-    r_series: np.ndarray
     v_series: np.ndarray
     dist_series: np.ndarray
     per_agent_event_counts: np.ndarray
@@ -397,6 +406,10 @@ class RunRecord:
     error: str | None = None
 
     @property
+    def r_series(self) -> np.ndarray:
+        return self.states - self.states[:, :1, :]
+
+    @property
     def v_initial(self) -> float:
         return float(self.v_series[0])
 
@@ -409,24 +422,11 @@ class RunRecord:
         return len(self.times) - 1
 
 
-def _banks_synchronized(banks: list[EstimatorBank], groups=None) -> bool:
+def _banks_synchronized(banks: list[EstimatorBank], groups: tuple) -> bool:
     """Bitwise agreement of every pair of estimates of the same agent.
 
-    ``groups`` is the precomputed (bank index, row index) layout from
-    Prepared.sync_groups; without it the membership is rediscovered per call.
+    ``groups`` is the (bank index, row index) layout from Prepared.sync_groups.
     """
-    if groups is None:
-        for j in range(len(banks)):
-            ref = None
-            for bank in banks:
-                if not bank.holds(j):
-                    continue
-                bits = bank.estimate_of(j).tobytes()
-                if ref is None:
-                    ref = bits
-                elif bits != ref:
-                    return False
-        return True
     for grp in groups:
         b0, r0 = grp[0]
         ref = banks[b0].estimates[r0].tobytes()
@@ -434,6 +434,20 @@ def _banks_synchronized(banks: list[EstimatorBank], groups=None) -> bool:
             if banks[b].estimates[r].tobytes() != ref:
                 return False
     return True
+
+
+def _v_and_dist(states: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V(k) = sum over followers of r_i' P r_i, and the squared spread about the mean.
+
+    Each full-size temporary is freed before the next is made, and all are
+    freed before a record's event list is built.
+    """
+    rf = (states - states[:, :1, :])[:, 1:, :]
+    v_series = np.einsum("kin,nm,kim->k", rf, P, rf)
+    del rf
+    centered = states - states.mean(axis=1, keepdims=True)
+    centered *= centered
+    return v_series, centered.sum(axis=(1, 2))
 
 
 def _assemble_record(
@@ -454,12 +468,7 @@ def _assemble_record(
     cfg = prep.cfg
     states = np.asarray(states)
     flags = np.asarray(flags)
-    r_series = states - states[:, :1, :]
-    P = prep.cert.P
-    rf = r_series[:, 1:, :]
-    v_series = np.einsum("kin,nm,kim->k", rf, P, rf)
-    centered = states - states.mean(axis=1, keepdims=True)
-    dist_series = (centered * centered).sum(axis=(1, 2))
+    v_series, dist_series = _v_and_dist(states, prep.cert.P)
     events = [
         (float(times[k]), int(i))
         for k in range(flags.shape[0])
@@ -485,7 +494,6 @@ def _assemble_record(
         states=states,
         events=events,
         event_flags=flags,
-        r_series=r_series,
         v_series=v_series,
         dist_series=dist_series,
         per_agent_event_counts=flags.sum(axis=0).astype(int),
@@ -504,17 +512,19 @@ def _assemble_record(
     )
 
 
-def run(cfg: SimConfig) -> RunRecord:
+def run(spec: Prepared | SimConfig) -> RunRecord:
     """Execute duration/h steps and return the complete record.
 
+    ``spec`` is a prepared run, or a config that is prepared here once.
     Bit-identical across repeated invocations with the same config. If the
     state becomes non-finite, the NumericsError carries the truncated record
     (every completed step) as ``partial_record``.
     """
-    prep = prepare(cfg)
+    prep = spec if isinstance(spec, Prepared) else prepare(spec)
+    cfg = prep.cfg
     n_agents = prep.graph.n_agents
     n = prep.model.state_dim
-    n_steps = int(round(cfg.duration / cfg.h))
+    n_steps = prep.n_steps
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, n_agents, n))
@@ -662,8 +672,16 @@ def zeno_guard_report(
 _WRITE_BLOCK = 256
 
 
-def write_run_outputs(record: RunRecord, out_dir, extra_summary: dict | None = None) -> Path:
+def write_run_outputs(
+    record: RunRecord,
+    out_dir,
+    extra_summary: dict | None = None,
+    report: metrics_mod.MetricReport | None = None,
+) -> Path:
     """Write states.csv, events.csv and summary.json into ``out_dir``.
+
+    ``report`` is the record's metric report when the caller already has it;
+    otherwise it is computed here.
 
     The CSVs are streamed: states go out in blocks of rows and each row is
     formatted on its own, so no file's full text is held in memory. One
@@ -692,7 +710,8 @@ def write_run_outputs(record: RunRecord, out_dir, extra_summary: dict | None = N
         for t, agent in record.events:
             fh.write("%.17g,%d\n" % (t, agent + 1))
 
-    report = metrics_mod.compute_metrics(record)
+    if report is None:
+        report = metrics_mod.compute_metrics(record)
     summary = {
         "config": None if record.config is None else record.config.to_dict(),
         "derived": record.derived,
@@ -756,19 +775,15 @@ def load_run_record(run_dir) -> RunRecord:
     if P is None:
         P = np.eye(n)
 
-    r_series = states - states[:, :1, :]
-    rf = r_series[:, 1:, :]
-    v_series = np.einsum("kin,nm,kim->k", rf, P, rf)
-    centered = states - states.mean(axis=1, keepdims=True)
+    v_series, dist_series = _v_and_dist(states, P)
     zeros = np.zeros((times.size, n_agents))
     return RunRecord(
         times=times,
         states=states,
         events=events,
         event_flags=flags,
-        r_series=r_series,
         v_series=v_series,
-        dist_series=(centered * centered).sum(axis=(1, 2)),
+        dist_series=dist_series,
         per_agent_event_counts=flags.sum(axis=0).astype(int),
         delta=zeros,
         threshold=zeros,

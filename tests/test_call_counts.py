@@ -1,0 +1,72 @@
+"""Each run is validated, derived and measured once.
+
+``prepare`` (which builds the Laplacian and solves its spectra) and
+``compute_metrics`` are counted across ``cli.main`` invocations by replacing
+every reference the package's modules hold to them, imports by value
+included.
+"""
+
+import json
+import sys
+
+import pytest
+
+from etconsensus import graph, metrics, simulator
+from etconsensus.cli import main
+from etconsensus.config import preset_config
+
+COUNTED = {
+    "prepare": simulator.prepare,
+    "build_laplacian": graph.build_laplacian,
+    "compute_metrics": metrics.compute_metrics,
+}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    tally = dict.fromkeys(COUNTED, 0)
+    for name, original in COUNTED.items():
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            tally[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if mod is None or not modname.startswith("etconsensus"):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return tally
+
+
+def config_file(tmp_path, preset, **overrides):
+    d = preset_config(preset)
+    d.update(duration=0.5, **overrides)
+    path = tmp_path / f"{preset}.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "preset,extra",
+    [
+        ("paper-asym-040", []),
+        ("paper-zeno-040", []),
+        ("paper-asym-040", ["--integrator", "euler"]),
+    ],
+)
+def test_one_of_each_per_run(preset, extra, counts, tmp_path):
+    cfg = config_file(tmp_path, preset)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 0
+    assert counts == dict.fromkeys(COUNTED, 1)
+
+
+def test_one_of_each_per_sweep_point(counts, tmp_path):
+    base = preset_config("paper-asym-040")
+    base["duration"] = 0.5
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"base": base, "grid": {"sigma": [0.5, 0.7]}}))
+    argv = ["sweep", "--config", str(spec), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    assert main(argv) == 0
+    assert counts == dict.fromkeys(COUNTED, 2)

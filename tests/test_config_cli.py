@@ -146,6 +146,8 @@ class TestConfigFiles:
             ("edges", [[1, "2"], [2, 3], [2, 5], [3, 4]]),
             ("edges", [[1, 2, math.nan], [2, 3], [2, 5], [3, 4]]),
             ("edges", [1, 2]),
+            ("h", 0.03),  # 10 s is not a whole number of steps
+            ("duration", 10.005),
         ],
     )
     def test_malformed_value_exits_2_naming_field(self, field, value, tmp_path, capsys):

@@ -1,0 +1,123 @@
+"""The single-matrix Jacobi solver against the rotation loop it replaced.
+
+``eigvalsh`` on one (n, n) matrix computes the two rotated rows with one
+product, mirrors them into the two columns, and takes the rotated diagonal
+pair from the 2x2 block, with the scalar angle arithmetic in Python floats.
+``reference_eigvalsh`` below is the earlier loop, which formed the row and
+the column products separately with numpy scalars. On a bitwise-symmetric
+matrix (and on any 2x2 one) the two must agree bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_connected_graph
+from etconsensus.errors import NumericsError
+from etconsensus.linalg import eigvalsh
+
+
+def reference_eigvalsh(a) -> np.ndarray:
+    """The earlier cyclic Jacobi loop for one square matrix."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return a[0].copy()
+    scale = np.sqrt((a * a).sum())
+    if scale == 0.0:
+        return np.zeros(n)
+    for _ in range(64):
+        off = np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum())
+        if off <= 1e-15 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-18 * scale:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rot = np.array([[c, s], [-s, c]])
+                rows = a[[p, q], :]
+                a[[p, q], :] = rot.T @ rows
+                cols = a[:, [p, q]]
+                a[:, [p, q]] = cols @ rot
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    else:
+        raise NumericsError("Jacobi eigenvalue iteration did not converge")
+    return np.sort(np.diag(a))
+
+
+def assert_same_bits(a) -> None:
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_eigvalsh(a)
+    got = eigvalsh(a)
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def laplacian(graph) -> np.ndarray:
+    adj = graph.adjacency
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eighty_agent_laplacians(seed):
+    # The benchmark's network-80 construction: a random tree plus 20 chords.
+    L = laplacian(random_connected_graph(np.random.default_rng(seed), 80, extra=20))
+    assert_same_bits(L)
+    assert_same_bits(L[1:, 1:])
+
+
+def test_small_random_laplacians():
+    for seed, trials, n_range, extra in ((23, 25, (2, 9), None), (31, 10, (3, 8), 1)):
+        rng = np.random.default_rng(seed)
+        for trial in range(trials):
+            n = int(rng.integers(*n_range))
+            k = int(rng.integers(0, 3)) if extra is None else extra
+            L = laplacian(random_connected_graph(rng, n, extra=k, weighted=bool(trial % 2)))
+            assert_same_bits(L)
+            assert_same_bits(L[1:, 1:])
+
+
+def test_random_symmetric():
+    rng = np.random.default_rng(41)
+    for n in range(2, 41):
+        for _ in range(3):
+            a = rng.normal(size=(n, n)) * 10.0 ** int(rng.integers(-6, 7))
+            assert_same_bits(a + a.T)
+
+
+def test_integer_valued_ties():
+    # Equal diagonal pairs make theta == 0, which takes t = 1.
+    rng = np.random.default_rng(43)
+    for n in range(2, 16):
+        a = rng.integers(-3, 4, size=(n, n)).astype(float)
+        assert_same_bits(a + a.T)
+        assert_same_bits(np.full((n, n), 2.0))
+
+
+def test_special_matrices():
+    assert_same_bits(np.diag([3.0, -1.0, 2.0, 0.0]))
+    assert_same_bits(np.zeros((5, 5)))
+    assert_same_bits(-np.zeros((3, 3)))
+    assert_same_bits(np.eye(1) * 7.0)
+    for value in (math.inf, -math.inf):
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, value]])
+        assert_same_bits(a)
+        b = np.array([[1.0, value, 0.5], [value, 3.0, 1.0], [0.5, 1.0, 2.0]])
+        assert_same_bits(b)
+    assert_same_bits(np.array([[1.0, 2.0], [-3.0, 4.0]]))  # a 2x2 need not be symmetric
+
+
+def test_nan_raises():
+    with pytest.raises(NumericsError):
+        eigvalsh(np.array([[1.0, 2.0, math.nan], [2.0, 0.0, 1.0], [math.nan, 1.0, 3.0]]))
+    with pytest.raises(NumericsError):
+        eigvalsh(np.array([[math.nan, 1.0], [1.0, 0.0]]))

@@ -23,9 +23,8 @@ def synthetic_record(
     h = times[1] - times[0] if k > 1 else 1.0
     for t, a in events:
         flags[int(round(t / h)), a] = True
-    r_series = states - states[:, :1, :]
     if v_series is None:
-        rf = r_series[:, 1:, :]
+        rf = states[:, 1:, :] - states[:, :1, :]
         v_series = np.einsum("kin,in->k", rf * rf, np.ones((n_agents - 1, states.shape[2])))
     centered = states - states.mean(axis=1, keepdims=True)
     zeros = np.zeros((k, n_agents))
@@ -34,7 +33,6 @@ def synthetic_record(
         states=states,
         events=events,
         event_flags=flags,
-        r_series=r_series,
         v_series=np.asarray(v_series, dtype=float),
         dist_series=(centered * centered).sum(axis=(1, 2)),
         per_agent_event_counts=flags.sum(axis=0).astype(int),

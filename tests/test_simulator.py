@@ -200,7 +200,7 @@ class TestStepSemantics:
         prep = prepare(cfg)
         world = initial_world(prep)
         for k in range(1, 6):
-            world = step(world, cfg)
+            world = step(world, prep)
             assert np.array_equal(world.x, rec.states[k])
             assert np.array_equal(world.trigger.fired, rec.event_flags[k])
         assert math.isclose(world.t, 0.05, rel_tol=1e-12)
