@@ -2,7 +2,7 @@
 
 Deterministic fixed-step simulation of a leader and N-1 followers that
 exchange state only at self-triggered broadcast instants, with open-loop
-estimator banks between broadcasts, two triggering conditions (asymptotic and
+estimates between broadcasts, two triggering conditions (asymptotic and
 practical with a guaranteed minimum inter-event time), and the analytic
 bounds that certify them.
 """
@@ -14,11 +14,6 @@ from .control import (
     TriggerState,
     build_trigger_params,
     check_gain_condition,
-    compute_delta,
-    compute_wi,
-    control_input,
-    ctc_fire_asymptotic,
-    ctc_fire_practical,
     error_growth_gain,
     practical_consensus_bound,
     tau_lower_bound,
@@ -36,7 +31,6 @@ from .dynamics import (
     register_model,
     trig_grid,
 )
-from .estimation import EstimatorBank, apply_broadcast, make_banks, propagate, propagate_all
 from .graph import Graph, Laplacian, build_laplacian, spectral_bounds
 from .metrics import MetricReport, compute_metrics, fit_decay_rate, markdown_tables
 from .simulator import (
@@ -66,11 +60,6 @@ __all__ = [
     "TriggerState",
     "build_trigger_params",
     "check_gain_condition",
-    "compute_delta",
-    "compute_wi",
-    "control_input",
-    "ctc_fire_asymptotic",
-    "ctc_fire_practical",
     "error_growth_gain",
     "practical_consensus_bound",
     "tau_lower_bound",
@@ -85,11 +74,6 @@ __all__ = [
     "make_model",
     "register_model",
     "trig_grid",
-    "EstimatorBank",
-    "apply_broadcast",
-    "make_banks",
-    "propagate",
-    "propagate_all",
     "Graph",
     "Laplacian",
     "build_laplacian",

@@ -1,7 +1,9 @@
 """Command-line interface: run, sweep, check-cmf, metrics, plotdata.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when a run aborts
-on non-finite numerics (the partial record is still flushed to disk).
+on non-finite numerics (the partial record is still flushed to disk). A sweep
+runs every point; if some fail it exits 3 when any failed on numerics and 2
+otherwise.
 """
 
 from __future__ import annotations
@@ -76,15 +78,19 @@ def _run_once(prep: Prepared, out_dir: Path) -> dict:
     return report.to_dict()
 
 
+def _flush_partial(exc: NumericsError, out: Path) -> None:
+    if exc.partial_record is not None:
+        write_run_outputs(exc.partial_record, out)
+        print(f"partial record flushed to {out}", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     spec = _load_spec(args)
     out = Path(args.out)
     try:
         report = _run_once(spec.prepared, out)
     except NumericsError as exc:
-        if exc.partial_record is not None:
-            write_run_outputs(exc.partial_record, out)
-            print(f"partial record flushed to {out}", file=sys.stderr)
+        _flush_partial(exc, out)
         raise
     print(
         f"run complete: gamma = {report['gamma']:.6g},"
@@ -135,9 +141,17 @@ def _sweep_points(grid: dict):
         yield "__".join(tokens), overrides
 
 
-def _sweep_worker(item) -> tuple[str, dict]:
+def _sweep_worker(item) -> tuple[str, dict | None, tuple[int, str] | None]:
+    """Run one point: (slug, metric report, None), or (slug, None, (exit code, message))."""
     slug, config_dict, out_dir = item
-    return slug, _run_once(prepare_dict(config_dict), Path(out_dir) / slug)
+    out = Path(out_dir) / slug
+    try:
+        return slug, _run_once(prepare_dict(config_dict), out), None
+    except NumericsError as exc:
+        _flush_partial(exc, out)
+        return slug, None, (3, str(exc))
+    except EtcError as exc:
+        return slug, None, (2, str(exc))
 
 
 def cmd_sweep(args) -> int:
@@ -176,22 +190,30 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_worker(item) for item in items]
 
-    results.sort(key=lambda pair: pair[0])
+    results.sort(key=lambda triple: triple[0])
+    done = {slug: report for slug, report, error in results if error is None}
+    failed = {slug: error for slug, _, error in results if error is not None}
     summary = {
         "n_points": len(results),
         "grid": spec["grid"],
-        "points": {slug: report for slug, report in results},
+        "points": done,
     }
+    if failed:
+        summary["failed"] = {slug: message for slug, (_, message) in failed.items()}
     (out / "sweep_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     reports = {
         slug: MetricReport(**{**rep, "per_agent_event_counts": tuple(rep["per_agent_event_counts"])})
-        for slug, rep in results
+        for slug, rep in done.items()
     }
     (out / "tables.md").write_text(markdown_tables(reports) + "\n")
-    print(f"sweep complete: {len(results)} runs under {out}")
-    return 0
+    print(f"sweep complete: {len(done)} runs under {out}")
+    if not failed:
+        return 0
+    for slug, (_, message) in failed.items():
+        print(f"sweep point {slug} failed: {message}", file=sys.stderr)
+    return max(code for code, _ in failed.values())
 
 
 def cmd_check_cmf(args) -> int:

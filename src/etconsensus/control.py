@@ -14,14 +14,13 @@ no clamping: a negative coefficient only delays triggering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, TopologyError, UsageError
-from .estimation import EstimatorBank
+from .errors import ConfigError, DegenerateError
 from .graph import Laplacian
-from .linalg import eigvalsh, spectral_norm
+from .linalg import eigvalsh
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,8 @@ class TriggerParams:
 
 @dataclass
 class TriggerState:
-    """Mutable per-agent trigger bookkeeping carried through a simulation."""
+    """Per-agent trigger quantities of one evaluation, and which agents fired."""
 
-    last_event_time: np.ndarray
-    event_count: np.ndarray
     e: np.ndarray
     w: np.ndarray
     delta: np.ndarray
@@ -64,8 +61,6 @@ class TriggerState:
     @classmethod
     def initial(cls, n_agents: int, state_dim: int) -> "TriggerState":
         return cls(
-            last_event_time=np.full(n_agents, -math.inf),
-            event_count=np.zeros(n_agents, dtype=int),
             e=np.zeros((n_agents, state_dim)),
             w=np.zeros((n_agents, state_dim)),
             delta=np.zeros(n_agents),
@@ -158,67 +153,6 @@ def check_gain_condition(kappa1: float, rho: float, mu: float) -> None:
     bound = rho / (2.0 * mu)
     if not (kappa1 > bound):
         raise ConfigError(f"kappa1 must exceed rho/(2*mu) = {bound!r}, got {kappa1!r}")
-
-
-def control_input(
-    i: int,
-    bank: EstimatorBank,
-    lap: Laplacian,
-    params: TriggerParams,
-    P: np.ndarray | None = None,
-) -> np.ndarray:
-    """Follower control u_i = -kappa * sum_j l_ij B'P xhat_j^i (j with l_ij != 0)."""
-    if i == 0:
-        raise UsageError("agent 0 is the leader and applies no control input")
-    btp = params.BtP if P is None else params.B.T @ np.asarray(P, dtype=float)
-    row = lap.L[i]
-    acc = np.zeros(params.B.shape[1])
-    for pos, j in enumerate(bank.agents):
-        lij = row[j]
-        if lij != 0.0:
-            acc = acc + lij * (btp @ bank.estimates[pos])
-    return -params.kappa * acc
-
-
-def compute_wi(i: int, bank: EstimatorBank, lap: Laplacian) -> np.ndarray:
-    """Disagreement w_i = sum_j l_ij (xhat_j^i - xhat_i^i) over the bank's estimates."""
-    row = lap.L[i]
-    own = bank.estimate_of(i)
-    w = np.zeros_like(own)
-    for j in np.nonzero(row)[0]:
-        if not bank.holds(int(j)):
-            raise TopologyError(
-                f"agent {i} holds no estimate of agent {int(j)} (l_ij != 0)"
-            )
-        w = w + row[j] * (bank.estimate_of(int(j)) - own)
-    return w
-
-
-def compute_delta(i: int, e_i: np.ndarray, w_i: np.ndarray, params: TriggerParams) -> float:
-    """Trigger function delta_i = e_i' S_i e_i + |w_i' R_i e_i|."""
-    S = params.S[i]
-    R = params.R[i]
-    return float(e_i @ S @ e_i + abs(w_i @ R @ e_i))
-
-
-def ctc_threshold(i: int, w_i: np.ndarray, params: TriggerParams) -> float:
-    """Threshold sigma_i * w_i' Theta_i w_i shared by both CTC variants."""
-    return float(params.sigma[i] * (w_i @ params.Theta[i] @ w_i))
-
-
-def ctc_fire_asymptotic(delta: float, w: np.ndarray, params: TriggerParams, i: int) -> bool:
-    """Strict test delta_i - sigma_i w_i' Theta_i w_i > 0."""
-    return delta - ctc_threshold(i, w, params) > 0.0
-
-
-def ctc_fire_practical(delta: float, w: np.ndarray, params: TriggerParams, i: int) -> bool:
-    """Strict test delta_i - sigma_i w_i' Theta_i w_i - xi > 0 (requires xi > 0)."""
-    if params.xi <= 0.0:
-        raise ConfigError(
-            f"the practical trigger requires xi > 0 (got {params.xi!r});"
-            " use the asymptotic trigger instead"
-        )
-    return delta - ctc_threshold(i, w, params) - params.xi > 0.0
 
 
 def error_growth_gain(kappa: float, bbtp_norm: float, w_max: float, Delta: float, k: float) -> float:

@@ -44,7 +44,11 @@ class SystemModel:
     """Input-affine model dx/dt = f(x, theta) + B u with a boxed parameter.
 
     ``f`` maps states (..., n) to drifts (..., n) and ``jacobian_f`` maps them
-    to Jacobians (..., n, n), or to one (n, n) matrix when constant.
+    to Jacobians (..., n, n), or to one (n, n) matrix when constant. The
+    parameter passed to ``f`` is either one (p,) vector for every state, or a
+    (..., p) array aligned with the states' leading axes, one parameter per
+    state: the simulator steps true states and estimates as one stack, each
+    row under its own parameter.
     """
 
     name: str
@@ -123,7 +127,7 @@ def make_model(name: str, theta=None, theta_hat=None) -> SystemModel:
 
 
 def _paper_f(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    th = theta[0]
+    th = theta[..., 0]
     z1 = x[..., 0]
     z2 = x[..., 1]
     c2 = np.cos(z2)

@@ -1,15 +1,17 @@
-"""Per-agent open-loop estimator banks with broadcast resets.
+"""Open-loop estimates with broadcast resets, stepped together with the plant.
 
-Each agent i keeps one estimate for itself and one per neighbour. Every
-estimate integrates the pure drift under the shared parameter estimate; the
-control input never enters, so between broadcasts an estimate depends only on
-its value at the last reset. When agent j broadcasts, every bank holding an
-estimate of j (its own bank and each neighbour's) is reset to the true state.
+In the scheme each agent i holds an estimate of itself and of each neighbour.
+Every estimate integrates the pure drift under the shared parameter estimate;
+the control input never enters, so between broadcasts an estimate depends
+only on its value at the last reset. When agent j broadcasts, every holder of
+an estimate of j (j itself and each neighbour) resets it to j's true state.
 
-All agents run the same integrator on the same parameter estimate, so two
-banks holding estimates of the same agent that were reset at the same instant
-agree bit for bit; ``propagate_all`` stacks every bank into one array before
-stepping, which preserves that property and keeps the hot path vectorized.
+All holders run the same integrator on the same parameter estimate and reset
+at the same instants, so every copy of an estimate of j is bit-identical to
+every other. The simulator therefore stores one estimate per agent: row j of
+an (N, n) array ``xhat``. ``propagate_all`` steps the true states and the
+estimates as one stacked (2N, n) array in a single integrator call, and
+``apply_broadcast`` resets one row.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SystemModel
-from .errors import TopologyError
-from .graph import Graph
-from .integrate import step_fn
+from .errors import NumericsError, TopologyError
+from .integrate import Field, step_fn
 
 
+# The benchmark's tracing counts constructions of this class; the bank-form
+# test reference builds its banks from it.
 @dataclass
 class EstimatorBank:
     """Estimates held by one agent: its own state plus each neighbour's."""
@@ -59,64 +61,21 @@ class EstimatorBank:
             ) from None
 
 
-def make_banks(graph: Graph, x0: np.ndarray, theta_hat) -> list[EstimatorBank]:
-    """Initial banks seeded with the true initial states (t = 0 broadcast)."""
-    x0 = np.asarray(x0, dtype=float)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    banks = []
-    for i in range(graph.n_agents):
-        members = tuple(sorted({i, *graph.neighbours(i).tolist()}))
-        banks.append(
-            EstimatorBank(
-                owner=i,
-                agents=members,
-                estimates=x0[list(members)].copy(),
-                theta_hat=theta_hat,
-            )
-        )
-    return banks
+def propagate_all(y: np.ndarray, field: Field, h: float, scheme: str = "rk4") -> np.ndarray:
+    """Advance y = [x; xhat], (2N, n), by one integrator step of ``field``.
 
-
-def propagate(bank: EstimatorBank, model: SystemModel, h: float, scheme: str = "rk4") -> EstimatorBank:
-    """Advance every estimate in a bank by one step of the pure drift."""
-    stepper = step_fn(scheme)
-    new = stepper(lambda y: model.f(y, bank.theta_hat), bank.estimates, h)
-    if not np.isfinite(new).all():
-        from .errors import NumericsError
-
-        raise NumericsError(f"estimator bank of agent {bank.owner} became non-finite")
-    return EstimatorBank(
-        owner=bank.owner, agents=bank.agents, estimates=new, theta_hat=bank.theta_hat
-    )
-
-
-def propagate_all(banks: list[EstimatorBank], model: SystemModel, h: float, scheme: str = "rk4") -> list[EstimatorBank]:
-    """Advance all banks in one stacked integrator call."""
-    stepper = step_fn(scheme)
-    theta_hat = banks[0].theta_hat
-    flat = np.concatenate([b.estimates for b in banks], axis=0)
-    flat = stepper(lambda y: model.f(y, theta_hat), flat, h)
-    if not np.isfinite(flat).all():
-        from .errors import NumericsError
-
+    Raises NumericsError when an estimate row becomes non-finite; the caller
+    checks the true-state rows.
+    """
+    new = step_fn(scheme)(field, y, h)
+    if not np.isfinite(new[y.shape[0] // 2 :]).all():
         raise NumericsError("an estimator bank became non-finite")
-    out = []
-    offset = 0
-    for b in banks:
-        rows = flat[offset : offset + len(b.agents)]
-        offset += len(b.agents)
-        out.append(
-            EstimatorBank(owner=b.owner, agents=b.agents, estimates=rows, theta_hat=b.theta_hat)
-        )
-    return out
+    return new
 
 
-def apply_broadcast(banks: list[EstimatorBank], sender: int, state: np.ndarray) -> None:
-    """Reset every estimate of ``sender`` (own bank and neighbours) to ``state``."""
-    n = len(banks)
+def apply_broadcast(xhat: np.ndarray, sender: int, state: np.ndarray) -> None:
+    """Reset the estimate of ``sender``, held by it and its neighbours, to ``state``."""
+    n = xhat.shape[0]
     if not (0 <= sender < n):
         raise TopologyError(f"unknown sender {sender}; agents are 0..{n - 1}")
-    state = np.asarray(state, dtype=float)
-    for bank in banks:
-        if bank.holds(sender):
-            bank.estimates[bank._pos[sender]] = state
+    xhat[sender] = state

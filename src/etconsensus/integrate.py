@@ -1,4 +1,4 @@
-"""Fixed-step explicit integrators shared by the plant and the estimator banks."""
+"""Fixed-step explicit integrators, stepping the plant and the estimates as one stack."""
 
 from __future__ import annotations
 

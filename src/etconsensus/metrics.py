@@ -58,18 +58,19 @@ def compute_metrics(record, chi: float = 0.1) -> MetricReport:
         r = block - block[:, :1, :]
         r_norms[start : start + _NORM_BLOCK] = np.sqrt((r * r).sum(axis=2))
     consensus_sum = float(r_norms.sum() / n_agents)
-    comm_count = len(record.events)
+    counts = record.event_flags.sum(axis=0)
+    comm_count = int(counts.sum())
     gamma = consensus_sum + chi * comm_count / n_agents
     if record.agent_degrees is None:
         weighted = None
     else:
-        weighted = int(sum(int(record.agent_degrees[a]) for _, a in record.events))
+        weighted = int(counts @ record.agent_degrees)
     return MetricReport(
         gamma=gamma,
         consensus_sum=consensus_sum,
         comm_count=comm_count,
         chi=chi,
-        per_agent_event_counts=tuple(int(c) for c in record.per_agent_event_counts),
+        per_agent_event_counts=tuple(counts.tolist()),
         decay_rate=fit_decay_rate(record),
         receiver_weighted_count=weighted,
         v_initial=float(record.v_series[0]),

@@ -2,10 +2,18 @@
 
 One step advances the world from t to t+h in a fixed order: controls are
 computed from the current estimates and held constant over the step (zero
-order hold), the true states and every estimator bank advance one integrator
+order hold), the true states and the estimates advance in one integrator
 step, then the triggering conditions are evaluated for all agents on the
 post-integration values and every firing agent broadcasts its true state in
 one synchronous batch, so evaluation order cannot leak between agents.
+
+Each agent's estimate is stored once, as one row of an (N, n) array, although
+in the scheme agent i holds an estimate of itself and of every neighbour.
+That is exact: every copy of an estimate integrates the same drift under the
+same parameter estimate and is reset by the same broadcasts, so the copies
+agree bit for bit. The disagreement w_i reads its neighbourhood's rows with
+one batched product per neighbourhood size, the same arithmetic as one
+product per agent.
 
 Runs are bit-for-bit reproducible for a fixed numpy/BLAS build: no
 randomness, no wall-clock dependence in the dynamics, and a deterministic
@@ -31,16 +39,14 @@ from .control import (
     TriggerState,
     build_trigger_params,
     check_gain_condition,
-    compute_wi,
-    ctc_threshold,
     error_growth_gain,
     tau_lower_bound,
 )
 from .dynamics import CmfCertificate, LipschitzData, SystemModel, make_model
 from .errors import ConfigError, NumericsError, UsageError
-from .estimation import EstimatorBank, apply_broadcast, make_banks, propagate_all
+from .estimation import EstimatorBank, apply_broadcast, propagate_all
 from .graph import Graph, Laplacian, build_laplacian
-from .integrate import INTEGRATORS, step_fn
+from .integrate import INTEGRATORS
 
 CTC_VARIANTS = ("asymptotic", "practical")
 
@@ -51,7 +57,9 @@ class SimConfig:
 
     ``seed`` is reserved for future stochastic extensions and unused: runs
     are deterministic. ``b`` and ``epsilon`` may be None to take the defaults
-    b_i = 1/(5 l_ii) and epsilon = 1/lambda_max(L).
+    b_i = 1/(5 l_ii) and epsilon = 1/lambda_max(L). ``check_synchrony`` is
+    accepted and echoed but does nothing: with one stored estimate per agent
+    the copies cannot disagree, so ``sync_mismatches`` is always 0.
     """
 
     n_agents: int
@@ -120,11 +128,13 @@ class SimConfig:
 class Prepared:
     """Validated, fully derived run inputs.
 
-    ``members``/``coeffs``/``own_pos`` precompute, per agent, the bank row
-    layout (make_banks orders rows by ascending agent id) and the matching
-    Laplacian row entries, so the step loop can evaluate w_i and the control
-    sums without per-call index lookups. ``sync_groups`` lists, per observed
-    agent, every (bank index, row index) holding an estimate of it.
+    ``groups`` holds the agents grouped by neighbourhood size k, as one
+    ``(rows, idx, coeffs)`` triple per k: ``rows`` (g,) are the agents,
+    ``idx`` (g, k) their closed neighbourhoods sorted by agent id, and
+    ``coeffs`` (g, k) the matching Laplacian entries ``L[rows[:, None], idx]``.
+    ``theta_rows`` (2N, p) is the parameter of each row of the stacked state
+    [x; xhat]: theta_true for the true states, theta_hat for the estimates.
+    ``Q`` is P B B' P, the matrix behind every trigger quadratic form.
     """
 
     cfg: SimConfig
@@ -134,10 +144,8 @@ class Prepared:
     params: TriggerParams
     cert: CmfCertificate
     x0: np.ndarray
-    members: tuple
-    coeffs: tuple
-    own_pos: tuple
-    sync_groups: tuple
+    groups: tuple
+    theta_rows: np.ndarray
     Q: np.ndarray
     n_steps: int
 
@@ -240,21 +248,13 @@ def prepare(cfg: SimConfig) -> Prepared:
         xi=cfg.xi,
     )
 
-    # Bank row layout mirrors make_banks: rows sorted by agent id, and the
-    # nonzero entries of Laplacian row i are exactly {i} union neighbours(i).
-    members = tuple(
-        tuple(sorted({i} | set(graph.neighbours(i)))) for i in range(cfg.n_agents)
-    )
-    coeffs = tuple(lap.L[i, list(members[i])].copy() for i in range(cfg.n_agents))
-    own_pos = tuple(members[i].index(i) for i in range(cfg.n_agents))
+    # The nonzero entries of Laplacian row i are exactly {i} union neighbours(i).
+    members = [sorted({i, *graph.neighbours(i).tolist()}) for i in range(cfg.n_agents)]
     groups = []
-    for j in range(cfg.n_agents):
-        holders = tuple(
-            (i, members[i].index(j)) for i in range(cfg.n_agents) if j in members[i]
-        )
-        if len(holders) > 1:
-            groups.append(holders)
-    Q = params.P @ params.B @ params.B.T @ params.P
+    for k in sorted({len(m) for m in members}):
+        rows = np.array([i for i, m in enumerate(members) if len(m) == k])
+        idx = np.array([members[i] for i in rows])
+        groups.append((rows, idx, lap.L[rows[:, None], idx]))
     return Prepared(
         cfg=cfg,
         model=model,
@@ -263,31 +263,34 @@ def prepare(cfg: SimConfig) -> Prepared:
         params=params,
         cert=cert,
         x0=x0,
-        members=members,
-        coeffs=coeffs,
-        own_pos=own_pos,
-        sync_groups=tuple(groups),
-        Q=Q,
+        groups=tuple(groups),
+        theta_rows=np.repeat(np.stack((model.theta_true, model.theta_hat)), cfg.n_agents, axis=0),
+        Q=params.P @ params.B @ params.B.T @ params.P,
         n_steps=int(round(steps)),
     )
 
 
 @dataclass
 class WorldState:
-    """Instantaneous simulation state: time, true states, banks, trigger data."""
+    """Instantaneous simulation state: time, true states, estimates, trigger data.
+
+    ``x`` and ``xhat`` are (N, n); ``xhat[j]`` is the estimate of agent j held
+    by j and by each of its neighbours.
+    """
 
     t: float
     x: np.ndarray
-    banks: list[EstimatorBank]
+    xhat: np.ndarray
     trigger: TriggerState
 
 
 def initial_world(prep: Prepared) -> WorldState:
+    n_agents, n = prep.x0.shape
     return WorldState(
         t=0.0,
         x=prep.x0.copy(),
-        banks=make_banks(prep.graph, prep.x0, prep.model.theta_hat),
-        trigger=TriggerState.initial(prep.graph.n_agents, prep.model.state_dim),
+        xhat=prep.x0.copy(),
+        trigger=TriggerState.initial(n_agents, n),
     )
 
 
@@ -296,107 +299,98 @@ def step(world: WorldState, prep: Prepared) -> WorldState:
     return _step(world, prep)
 
 
+def _disagreement(xhat: np.ndarray, prep: Prepared) -> np.ndarray:
+    """w_i = sum_j l_ij (xhat_j - xhat_i) over i's closed neighbourhood, for every i.
+
+    One batched product per neighbourhood size gives the same bits as one
+    ``coeffs_i @ (xhat[members_i] - xhat_i)`` per agent; a dense ``L @ xhat``
+    or one zero-padded stack does not.
+    """
+    w = np.empty_like(xhat)
+    for rows, idx, coeffs in prep.groups:
+        w[rows] = (coeffs[:, None, :] @ (xhat[idx] - xhat[rows][:, None, :]))[:, 0, :]
+    return w
+
+
+def _evaluate(x: np.ndarray, xhat: np.ndarray, prep: Prepared) -> TriggerState:
+    """Both trigger quantities and the firing test, for every agent at once.
+
+    The quadratic forms use S_i = s_i Q, Theta_i = c_i Q, R_i = 2 kappa Q with
+    Q = P B B' P, so one (N, n) sweep covers every agent.
+    """
+    params = prep.params
+    e = x - xhat
+    w = _disagreement(xhat, prep)
+    wQ = w @ prep.Q
+    eQ = e @ prep.Q
+    delta = params.s_coeff * (eQ * e).sum(axis=1) + np.abs(
+        2.0 * params.kappa * (wQ * e).sum(axis=1)
+    )
+    threshold = params.sigma * params.theta_coeff * (wQ * w).sum(axis=1)
+    fired = delta - threshold - params.xi > 0.0
+    return TriggerState(e=e, w=w, delta=delta, threshold=threshold, fired=fired)
+
+
 def _step(world: WorldState, prep: Prepared) -> WorldState:
     cfg = prep.cfg
     model = prep.model
     n_agents = prep.graph.n_agents
-    stepper = step_fn(cfg.integrator)
-    h = cfg.h
     params = prep.params
-    kappa = params.kappa
-    BtP = params.BtP
 
     # Zero-order hold: inputs from the estimates at time t, constant over the
-    # step. The disagreement form equals control_input up to rounding order
-    # and vanishes exactly when a bank's estimates agree, so a consensus
-    # state cannot be perturbed by summation residue.
-    bu = np.zeros_like(world.x)
-    for i in range(1, n_agents):
-        est = world.banks[i].estimates
-        w_ctl = prep.coeffs[i] @ (est - est[prep.own_pos[i]])
-        bu[i] = model.B @ (-kappa * (BtP @ w_ctl))
+    # step. The disagreement form equals the control law up to rounding order
+    # and vanishes exactly when the estimates agree, so a consensus state
+    # cannot be perturbed by summation residue. Only follower plant rows get
+    # it: adding a zero row elsewhere would turn -0.0 into +0.0.
+    w_ctl = _disagreement(world.xhat, prep)
+    bu = (-params.kappa * (w_ctl[1:] @ params.BtP.T)) @ model.B.T
+    f = model.f
+    theta_rows = prep.theta_rows
 
-    theta_true = model.theta_true
-
-    def plant_field(y: np.ndarray) -> np.ndarray:
-        out = model.f(y, theta_true)
-        out[1:] += bu[1:]
+    def vector_field(y: np.ndarray) -> np.ndarray:
+        out = f(y, theta_rows)
+        out[1:n_agents] += bu
         return out
 
-    x_new = stepper(plant_field, world.x, h)
-    banks_new = propagate_all(world.banks, model, h, cfg.integrator)
-    t_new = world.t + h
+    y = propagate_all(np.concatenate((world.x, world.xhat)), vector_field, cfg.h, cfg.integrator)
+    x_new, xhat_new = y[:n_agents], y[n_agents:]
+    t_new = world.t + cfg.h
     if not np.isfinite(x_new).all():
         raise NumericsError(
             f"non-finite true state at t = {t_new:.6f}: x = {x_new.tolist()}"
         )
 
-    # Evaluate both trigger quantities for every agent on post-integration,
-    # pre-reset values, then broadcast all firing agents as one batch. The
-    # quadratic forms use S_i = s_i Q, Theta_i = c_i Q, R_i = 2 kappa Q with
-    # Q = P B B' P, so one (N, n) sweep covers every agent.
-    tr = world.trigger
-    e = np.empty_like(x_new)
-    w = np.empty_like(x_new)
-    for i in range(n_agents):
-        est = banks_new[i].estimates
-        own = est[prep.own_pos[i]]
-        e[i] = x_new[i] - own
-        w[i] = prep.coeffs[i] @ (est - own)
-    wQ = w @ prep.Q
-    eQ = e @ prep.Q
-    delta = params.s_coeff * (eQ * e).sum(axis=1) + np.abs(
-        2.0 * kappa * (wQ * e).sum(axis=1)
-    )
-    threshold = params.sigma * params.theta_coeff * (wQ * w).sum(axis=1)
-    fired = delta - threshold - params.xi > 0.0
-
-    last_event = tr.last_event_time.copy()
-    counts = tr.event_count.copy()
-    for i in np.nonzero(fired)[0]:
-        apply_broadcast(banks_new, int(i), x_new[int(i)])
-        last_event[i] = t_new
-        counts[i] += 1
-
-    return WorldState(
-        t=t_new,
-        x=x_new,
-        banks=banks_new,
-        trigger=TriggerState(
-            last_event_time=last_event,
-            event_count=counts,
-            e=e,
-            w=w,
-            delta=delta,
-            threshold=threshold,
-            fired=fired,
-        ),
-    )
+    # Evaluate every agent on post-integration, pre-reset values, then
+    # broadcast all firing agents as one batch.
+    trigger = _evaluate(x_new, xhat_new, prep)
+    for i in np.nonzero(trigger.fired)[0]:
+        apply_broadcast(xhat_new, int(i), x_new[int(i)])
+    return WorldState(t=t_new, x=x_new, xhat=xhat_new, trigger=trigger)
 
 
 @dataclass
 class RunRecord:
     """Complete time series and event log of one run.
 
-    ``delta``, ``threshold``, ``w_norm``, ``e_norm`` hold the trigger
-    quantities as evaluated at each instant's CTC check (pre-reset);
-    ``e_norm_post`` holds the estimation error after the batch of resets, so
-    it is exactly zero wherever an event fired. ``r_series``, each agent's
-    offset from the leader, is derived from ``states`` on access.
+    ``event_flags`` (samples, N) is the event log: True where an agent
+    broadcast at that instant. ``delta``, ``threshold``, ``w_norm``, ``e_norm``
+    hold the trigger quantities as evaluated at each instant's CTC check
+    (pre-reset); a record reloaded from files has none of them (None).
+    Derived on access: ``events``, the (t, agent) pairs in time then agent
+    order; ``per_agent_event_counts``; ``e_norm_post``, the estimation error
+    after the batch of resets, exactly zero wherever an event fired; and
+    ``r_series``, each agent's offset from the leader.
     """
 
     times: np.ndarray
     states: np.ndarray
-    events: list
     event_flags: np.ndarray
     v_series: np.ndarray
     dist_series: np.ndarray
-    per_agent_event_counts: np.ndarray
-    delta: np.ndarray
-    threshold: np.ndarray
-    w_norm: np.ndarray
-    e_norm: np.ndarray
-    e_norm_post: np.ndarray
+    delta: np.ndarray | None
+    threshold: np.ndarray | None
+    w_norm: np.ndarray | None
+    e_norm: np.ndarray | None
     config: SimConfig | None = None
     est_series: np.ndarray | None = None
     agent_degrees: np.ndarray | None = None
@@ -404,6 +398,21 @@ class RunRecord:
     sync_mismatches: int = 0
     runtime_seconds: float = 0.0
     error: str | None = None
+
+    @property
+    def events(self) -> list:
+        ks, agents = np.nonzero(self.event_flags)
+        return list(zip(self.times[ks].tolist(), agents.tolist()))
+
+    @property
+    def per_agent_event_counts(self) -> np.ndarray:
+        return self.event_flags.sum(axis=0).astype(int)
+
+    @property
+    def e_norm_post(self) -> np.ndarray | None:
+        if self.e_norm is None:
+            return None
+        return np.where(self.event_flags, 0.0, self.e_norm)
 
     @property
     def r_series(self) -> np.ndarray:
@@ -422,10 +431,12 @@ class RunRecord:
         return len(self.times) - 1
 
 
+# The benchmark's tracing wraps this by name; the bank-form test reference calls it.
 def _banks_synchronized(banks: list[EstimatorBank], groups: tuple) -> bool:
     """Bitwise agreement of every pair of estimates of the same agent.
 
-    ``groups`` is the (bank index, row index) layout from Prepared.sync_groups.
+    ``groups`` lists, per observed agent, every (bank index, row index)
+    holding an estimate of it.
     """
     for grp in groups:
         b0, r0 = grp[0]
@@ -439,8 +450,7 @@ def _banks_synchronized(banks: list[EstimatorBank], groups: tuple) -> bool:
 def _v_and_dist(states: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V(k) = sum over followers of r_i' P r_i, and the squared spread about the mean.
 
-    Each full-size temporary is freed before the next is made, and all are
-    freed before a record's event list is built.
+    Each full-size temporary is freed before the next is made.
     """
     rf = (states - states[:, :1, :])[:, 1:, :]
     v_series = np.einsum("kin,nm,kim->k", rf, P, rf)
@@ -459,21 +469,12 @@ def _assemble_record(
     threshold,
     w_norm,
     e_norm,
-    e_norm_post,
     est_series,
-    sync_mismatches,
     runtime,
     error=None,
 ) -> RunRecord:
-    cfg = prep.cfg
     states = np.asarray(states)
-    flags = np.asarray(flags)
     v_series, dist_series = _v_and_dist(states, prep.cert.P)
-    events = [
-        (float(times[k]), int(i))
-        for k in range(flags.shape[0])
-        for i in np.nonzero(flags[k])[0]
-    ]
     derived = {
         "mu": prep.lap.mu,
         "lambda_max": prep.lap.lambda_max,
@@ -492,21 +493,17 @@ def _assemble_record(
     return RunRecord(
         times=np.asarray(times),
         states=states,
-        events=events,
-        event_flags=flags,
+        event_flags=np.asarray(flags),
         v_series=v_series,
         dist_series=dist_series,
-        per_agent_event_counts=flags.sum(axis=0).astype(int),
         delta=np.asarray(delta),
         threshold=np.asarray(threshold),
         w_norm=np.asarray(w_norm),
         e_norm=np.asarray(e_norm),
-        e_norm_post=np.asarray(e_norm_post),
-        config=cfg,
+        config=prep.cfg,
         est_series=None if est_series is None else np.asarray(est_series),
         agent_degrees=(prep.graph.adjacency > 0).sum(axis=1).astype(int),
         derived=derived,
-        sync_mismatches=sync_mismatches,
         runtime_seconds=runtime,
         error=error,
     )
@@ -524,85 +521,43 @@ def run(spec: Prepared | SimConfig) -> RunRecord:
     cfg = prep.cfg
     n_agents = prep.graph.n_agents
     n = prep.model.state_dim
-    n_steps = prep.n_steps
+    rows = prep.n_steps + 1
 
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, n_agents, n))
-    flags = np.zeros((n_steps + 1, n_agents), dtype=bool)
-    delta = np.zeros((n_steps + 1, n_agents))
-    threshold = np.zeros((n_steps + 1, n_agents))
-    w_norm = np.zeros((n_steps + 1, n_agents))
-    e_norm = np.zeros((n_steps + 1, n_agents))
-    e_norm_post = np.zeros((n_steps + 1, n_agents))
-    est_series = np.empty((n_steps + 1, n_agents, n)) if cfg.dump_estimates else None
+    times = np.empty(rows)
+    states = np.empty((rows, n_agents, n))
+    flags = np.zeros((rows, n_agents), dtype=bool)
+    delta, threshold, w_norm, e_norm = (np.empty((rows, n_agents)) for _ in range(4))
+    est_series = np.empty((rows, n_agents, n)) if cfg.dump_estimates else None
+    series = (times, states, flags, delta, threshold, w_norm, e_norm, est_series)
 
-    world = initial_world(prep)
-    times[0] = 0.0
-    states[0] = world.x
-    for i in range(n_agents):
-        w0 = compute_wi(i, world.banks[i], prep.lap)
-        w_norm[0, i] = math.sqrt(float(w0 @ w0))
-        threshold[0, i] = ctc_threshold(i, w0, prep.params)
-    if est_series is not None:
-        est_series[0] = [world.banks[i].estimate_of(i) for i in range(n_agents)]
-
-    sync_mismatches = 0
-    start = time.perf_counter()
-    for k in range(1, n_steps + 1):
-        try:
-            world = _step(world, prep)
-        except NumericsError as exc:
-            runtime = time.perf_counter() - start
-            exc.partial_record = _assemble_record(
-                prep,
-                times[:k],
-                states[:k],
-                flags[:k],
-                delta[:k],
-                threshold[:k],
-                w_norm[:k],
-                e_norm[:k],
-                e_norm_post[:k],
-                None if est_series is None else est_series[:k],
-                sync_mismatches,
-                runtime,
-                error=str(exc),
-            )
-            raise
+    def keep(k: int, world: WorldState, tr: TriggerState) -> None:
         times[k] = k * cfg.h
         states[k] = world.x
-        tr = world.trigger
-        flags[k] = tr.fired
         delta[k] = tr.delta
         threshold[k] = tr.threshold
         w_norm[k] = np.sqrt((tr.w * tr.w).sum(axis=1))
         e_norm[k] = np.sqrt((tr.e * tr.e).sum(axis=1))
-        for i in range(n_agents):
-            if tr.fired[i]:
-                post = world.x[i] - world.banks[i].estimate_of(i)
-                e_norm_post[k, i] = math.sqrt(float(post @ post))
-            else:
-                e_norm_post[k, i] = e_norm[k, i]
         if est_series is not None:
-            est_series[k] = [world.banks[i].estimate_of(i) for i in range(n_agents)]
-        if cfg.check_synchrony and not _banks_synchronized(world.banks, prep.sync_groups):
-            sync_mismatches += 1
-    runtime = time.perf_counter() - start
+            est_series[k] = world.xhat
 
-    return _assemble_record(
-        prep,
-        times,
-        states,
-        flags,
-        delta,
-        threshold,
-        w_norm,
-        e_norm,
-        e_norm_post,
-        est_series,
-        sync_mismatches,
-        runtime,
-    )
+    # Row 0: every estimate starts at x0, so e = 0 and delta = 0; no event.
+    world = initial_world(prep)
+    keep(0, world, _evaluate(world.x, world.xhat, prep))
+    start = time.perf_counter()
+    for k in range(1, rows):
+        try:
+            world = _step(world, prep)
+        except NumericsError as exc:
+            exc.partial_record = _assemble_record(
+                prep,
+                *(None if s is None else s[:k] for s in series),
+                time.perf_counter() - start,
+                error=str(exc),
+            )
+            raise
+        keep(k, world, world.trigger)
+        flags[k] = world.trigger.fired
+    return _assemble_record(prep, *series, time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -621,12 +576,17 @@ def zeno_guard_report(
     """Check min inter-event time >= tau_i per agent on a practical-CTC record.
 
     Agents with fewer than two events are vacuously satisfied. tau_i uses the
-    run-measured per-agent w_max and the grid-estimated k and Delta.
+    run-measured per-agent w_max and the grid-estimated k and Delta, so a
+    record without its |w| series (one reloaded from files) is refused.
     """
     if record.config is None or record.config.ctc != "practical":
         raise UsageError(
             "the Zeno guard applies only to practical-CTC records;"
             " the asymptotic trigger carries no inter-event guarantee"
+        )
+    if record.w_norm is None:
+        raise UsageError(
+            "the Zeno guard needs the run's |w| series, which a reloaded record lacks"
         )
     n_agents = record.w_norm.shape[1]
     from .linalg import spectral_norm
@@ -652,11 +612,11 @@ def zeno_guard_report(
         except Exception:
             tau = math.inf
         taus.append(tau)
-        t_events = [t for t, a in record.events if a == i]
+        t_events = record.times[record.event_flags[:, i]]
         if len(t_events) < 2:
             gaps.append(math.inf)
             continue
-        gap = min(b - a for a, b in zip(t_events, t_events[1:]))
+        gap = float(np.diff(t_events).min())
         gaps.append(gap)
         if gap < tau:
             ok = False
@@ -705,9 +665,10 @@ def write_run_outputs(
             for row in block:
                 fh.write(row_fmt % tuple(row.tolist()))
 
+    ks, agents = np.nonzero(record.event_flags)
     with (out / "events.csv").open("w") as fh:
         fh.write("t,agent\n")
-        for t, agent in record.events:
+        for t, agent in zip(record.times[ks].tolist(), agents.tolist()):
             fh.write("%.17g,%d\n" % (t, agent + 1))
 
     if report is None:
@@ -718,7 +679,7 @@ def write_run_outputs(
         "metrics": report.to_dict(),
         "v_initial": record.v_initial,
         "v_final": record.v_final,
-        "n_events": len(record.events),
+        "n_events": len(ks),
         "per_agent_event_counts": record.per_agent_event_counts.tolist(),
         "sync_mismatches": record.sync_mismatches,
         "runtime_seconds": record.runtime_seconds,
@@ -731,7 +692,10 @@ def write_run_outputs(
 
 
 def load_run_record(run_dir) -> RunRecord:
-    """Rebuild a metrics-grade record from states.csv, events.csv, summary.json."""
+    """Rebuild a metrics-grade record from states.csv, events.csv, summary.json.
+
+    The trigger series are not written, so the record has none (None).
+    """
     run_dir = Path(run_dir)
     states_path = run_dir / "states.csv"
     if not states_path.exists():
@@ -748,18 +712,15 @@ def load_run_record(run_dir) -> RunRecord:
         for d in dims:
             states[:, i - 1, d - 1] = np.asarray(raw[f"x{i}_{d}"], dtype=float).reshape(-1)
 
-    events = []
+    flags = np.zeros((times.size, n_agents), dtype=bool)
+    h = times[1] - times[0] if times.size > 1 else 1.0
     ev_path = run_dir / "events.csv"
     if ev_path.exists():
         for line in ev_path.read_text().splitlines()[1:]:
             if not line.strip():
                 continue
             t_str, agent_str = line.split(",")
-            events.append((float(t_str), int(agent_str) - 1))
-    flags = np.zeros((times.size, n_agents), dtype=bool)
-    h = times[1] - times[0] if times.size > 1 else 1.0
-    for t, agent in events:
-        flags[int(round(t / h)), agent] = True
+            flags[int(round(float(t_str) / h)), int(agent_str) - 1] = True
 
     summary_path = run_dir / "summary.json"
     cfg = None
@@ -776,20 +737,16 @@ def load_run_record(run_dir) -> RunRecord:
         P = np.eye(n)
 
     v_series, dist_series = _v_and_dist(states, P)
-    zeros = np.zeros((times.size, n_agents))
     return RunRecord(
         times=times,
         states=states,
-        events=events,
         event_flags=flags,
         v_series=v_series,
         dist_series=dist_series,
-        per_agent_event_counts=flags.sum(axis=0).astype(int),
-        delta=zeros,
-        threshold=zeros,
-        w_norm=zeros,
-        e_norm=zeros,
-        e_norm_post=zeros,
+        delta=None,
+        threshold=None,
+        w_norm=None,
+        e_norm=None,
         config=cfg,
         agent_degrees=degrees,
     )

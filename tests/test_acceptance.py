@@ -14,17 +14,19 @@ import math
 
 import numpy as np
 
-from conftest import charpoly_eigs
-from etconsensus.config import config_from_dict, preset_config
-from etconsensus.control import (
-    build_trigger_params,
+from bank_reference import (
     compute_delta,
     compute_wi,
     control_input,
-    practical_consensus_bound,
+    ctc_threshold,
+    make_banks,
+    run_reference,
 )
+from conftest import charpoly_eigs
+from etconsensus import simulator
+from etconsensus.config import config_from_dict, preset_config
+from etconsensus.control import build_trigger_params, practical_consensus_bound
 from etconsensus.dynamics import CmfCertificate, check_cmf, make_model, trig_grid
-from etconsensus.estimation import make_banks
 from etconsensus.graph import Graph, build_laplacian
 from etconsensus.metrics import compute_metrics, fit_decay_rate
 from etconsensus.simulator import prepare, run, write_run_outputs, zeno_guard_report
@@ -248,12 +250,17 @@ def test_criterion_5_trigger_soundness(run_cache):
                 failures.append(
                     f"{tag}: estimation error nonzero right after {nonzero_post} events"
                 )
-    params = prepare(config_from_dict(preset_config("paper-zeno-040"))).params
+    prep = prepare(config_from_dict(preset_config("paper-zeno-040")))
+    params = prep.params
     rng = np.random.default_rng(77)
     for i in range(5):
         for _ in range(10):
             if compute_delta(i, np.zeros(2), rng.normal(size=2), params) != 0.0:
                 failures.append(f"delta not exactly zero at e = 0 for agent {i + 1}")
+    for _ in range(10):
+        x = rng.normal(size=(5, 2))
+        if np.any(simulator._evaluate(x, x, prep).delta != 0.0):
+            failures.append("the simulator's delta is not exactly zero at e = 0")
     finish(
         5,
         failures,
@@ -268,16 +275,30 @@ def test_criterion_6_oracle_equivalences():
     lap = build_laplacian(graph)
     params = build_trigger_params(lap, P, B, kappa1=0.1, kappa2=5.0, sigma=SIGMA)
 
+    # The simulator's vectorized trigger quantities against the scalar
+    # per-agent forms, on the same graph and gains.
+    prep = prepare(config_from_dict(preset_config("paper-asym-040")))
     rng = np.random.default_rng(1234)
     worst_w = 0.0
     worst_phi = 0.0
+    worst_core = 0.0
     for _ in range(1000):
         xhat = rng.normal(size=(5, 2))
+        x = xhat + rng.normal(size=(5, 2))
         banks = make_banks(graph, xhat, [0.4])
         want = lap.L @ xhat
+        core = simulator._evaluate(x, xhat, prep)
         for i in range(5):
             w = compute_wi(i, banks[i], lap)
             worst_w = max(worst_w, float(np.max(np.abs(w - want[i]))))
+            worst_core = max(
+                worst_core,
+                float(np.max(np.abs(core.w[i] - w))),
+                abs(core.delta[i] - compute_delta(i, x[i] - xhat[i], w, params))
+                / max(1.0, abs(core.delta[i])),
+                abs(core.threshold[i] - ctc_threshold(i, w, params))
+                / max(1.0, abs(core.threshold[i])),
+            )
             if i > 0:
                 u = control_input(i, banks[i], lap, params)
                 phi = -params.kappa * (params.BtP @ w)
@@ -286,6 +307,8 @@ def test_criterion_6_oracle_equivalences():
         failures.append(f"disagreement forms differ by {worst_w:.3e} (> 1e-12)")
     if worst_phi > 1e-12:
         failures.append(f"control identity off by {worst_phi:.3e} (> 1e-12)")
+    if worst_core > 1e-12:
+        failures.append(f"simulator trigger quantities off the scalar forms by {worst_core:.3e}")
 
     eigs_L = charpoly_eigs(lap.L)
     eigs_follower = charpoly_eigs(lap.L[1:, 1:])
@@ -329,8 +352,8 @@ def test_criterion_6_oracle_equivalences():
     finish(
         6,
         failures,
-        "disagreement, control, spectral, and gain-matrix oracles agree"
-        f" (worst deviations {worst_w:.1e}, {worst_phi:.1e}, {worst_gain:.1e})",
+        "disagreement, control, simulator trigger, spectral, and gain-matrix oracles agree"
+        f" (worst deviations {worst_w:.1e}, {worst_phi:.1e}, {worst_core:.1e}, {worst_gain:.1e})",
     )
 
 
@@ -359,16 +382,21 @@ def test_criterion_7_certificate_sampling():
 
 
 def test_criterion_8_structural_invariants(run_cache, tmp_path):
+    # Synchrony: in the bank-form reference, where every holder keeps its own
+    # copy of an estimate, the copies agree bit for bit at every step; and the
+    # simulator, which stores one copy, reproduces the reference bit for bit.
     failures = []
     for integ in INTEGRATORS:
         for preset in PRESETS:
             for T in DURATIONS:
                 rec = run_cache(preset, duration=T, integrator=integ)
-                if rec.sync_mismatches != 0:
-                    failures.append(
-                        f"{preset} T={T:g} {integ}: {rec.sync_mismatches}"
-                        " estimator synchrony mismatches"
-                    )
+                ref = run_reference(prepare(rec.config))
+                tag = f"{preset} T={T:g} {integ}"
+                if ref.sync_mismatches != 0:
+                    failures.append(f"{tag}: {ref.sync_mismatches} estimator synchrony mismatches")
+                for name in ("states", "event_flags", "delta", "threshold", "w_norm", "e_norm"):
+                    if not np.array_equal(getattr(rec, name), getattr(ref, name)):
+                        failures.append(f"{tag}: {name} differs from the bank-form reference")
 
     rec_a = run(config_from_dict(preset_config("paper-asym-040")))
     rec_b = run(config_from_dict(preset_config("paper-asym-040")))
@@ -402,6 +430,7 @@ def test_criterion_8_structural_invariants(run_cache, tmp_path):
     finish(
         8,
         failures,
-        "synchrony bit-exact in all 16 runs, repeated runs byte-identical,"
+        "synchrony bit-exact in all 16 runs and equal to the bank-form reference,"
+        " repeated runs byte-identical,"
         " leader bitwise autonomous",
     )

@@ -369,6 +369,34 @@ class TestSweep:
         assert summary["n_points"] == 2
         assert set(summary["points"]) == {"seed=0", "seed=1"}
 
+    def test_failing_point_keeps_the_others(self, tmp_path, capsys):
+        base = preset_config("paper-asym-040")
+        base["duration"] = 0.1
+        specp = write_json(tmp_path / "sweep.json", {"base": base, "grid": {"sigma": [0.5, 1.5, 0.9]}})
+        outs = [tmp_path / "s1", tmp_path / "s2"]
+        for out, jobs in zip(outs, ("1", "2")):
+            assert main(["sweep", "--config", specp, "--out", str(out), "--jobs", jobs]) == 2
+        assert "sigma=1.5" in capsys.readouterr().err
+        summary = json.loads((outs[0] / "sweep_summary.json").read_text())
+        assert summary["n_points"] == 3
+        assert set(summary["points"]) == {"sigma=0.5", "sigma=0.9"}
+        assert set(summary["failed"]) == {"sigma=1.5"}
+        assert "sigma" in summary["failed"]["sigma=1.5"]
+        assert sorted(p.name for p in outs[0].iterdir() if p.is_dir()) == ["sigma=0.5", "sigma=0.9"]
+        assert (outs[0] / "sweep_summary.json").read_bytes() == (outs[1] / "sweep_summary.json").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerics_failure_point_flushes_and_exits_3(self, tmp_path):
+        base = preset_config("paper-asym-040")
+        spec = {"base": base, "grid": {"h,duration": [[0.01, 0.1], [1e6, 6e7]]}}
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_json(tmp_path / "s.json", spec), "--out", str(out)]) == 3
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert list(summary["points"]) == ["h=0.01__duration=0.1"]
+        assert "non-finite" in summary["failed"]["h=1000000.0__duration=60000000.0"]
+        partial = json.loads((out / "h=1000000.0__duration=60000000.0" / "summary.json").read_text())
+        assert partial["error"]
+
     def test_preset_and_base_are_exclusive(self, tmp_path):
         base = preset_config("paper-asym-040")
         spec = {"preset": "paper-asym-040", "base": base, "grid": {"duration": [0.1]}}

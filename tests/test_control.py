@@ -1,20 +1,23 @@
-"""Gain matrices, trigger predicates, and the analytic event-spacing bounds."""
+"""Gain matrices, the reference's scalar trigger predicates, and event-spacing bounds."""
 
 import math
 
 import numpy as np
 import pytest
 
-from etconsensus.control import (
-    TriggerState,
-    build_trigger_params,
-    check_gain_condition,
+from bank_reference import (
     compute_delta,
     compute_wi,
     control_input,
     ctc_fire_asymptotic,
     ctc_fire_practical,
     ctc_threshold,
+    make_banks,
+)
+from etconsensus.control import (
+    TriggerState,
+    build_trigger_params,
+    check_gain_condition,
     error_growth_gain,
     practical_consensus_bound,
     tau_lower_bound,
@@ -26,7 +29,7 @@ from etconsensus.errors import (
     TopologyError,
     UsageError,
 )
-from etconsensus.estimation import EstimatorBank, make_banks
+from etconsensus.estimation import EstimatorBank
 from etconsensus.graph import Graph, build_laplacian
 from etconsensus.linalg import eigvalsh, spectral_norm
 
@@ -126,8 +129,6 @@ class TestGainMatrices:
 
     def test_trigger_state_initial(self):
         st = TriggerState.initial(5, 2)
-        assert np.all(np.isneginf(st.last_event_time))
-        assert st.event_count.tolist() == [0] * 5
         assert not st.fired.any()
 
 

@@ -1,17 +1,19 @@
-"""Estimator banks: membership, propagation, broadcast resets, agreement."""
+"""Estimates: the stacked step and row resets of the simulator, and the bank-form reference.
+
+The bank tests check the reference in ``bank_reference`` that the simulator
+is compared against; the ``propagate_all``/``apply_broadcast`` tests check the
+simulator's one-estimate-per-agent form against those banks.
+"""
 
 import numpy as np
 import pytest
 
+from bank_reference import apply_broadcast as bank_broadcast
+from bank_reference import make_banks, propagate
+from bank_reference import propagate_all as propagate_banks
 from etconsensus.dynamics import SystemModel, make_model
 from etconsensus.errors import NumericsError, TopologyError
-from etconsensus.estimation import (
-    EstimatorBank,
-    apply_broadcast,
-    make_banks,
-    propagate,
-    propagate_all,
-)
+from etconsensus.estimation import EstimatorBank, apply_broadcast, propagate_all
 from etconsensus.graph import Graph
 
 X0 = np.array(
@@ -21,6 +23,14 @@ X0 = np.array(
 
 def fig_graph():
     return Graph.from_edges(5, [[1, 2], [2, 3], [2, 5], [3, 4]])
+
+
+def stacked_field(model, n_agents=5):
+    """Drift of [x; xhat] with theta_true on the true rows and theta_hat below."""
+    theta = np.concatenate(
+        (np.tile(model.theta_true, (n_agents, 1)), np.tile(model.theta_hat, (n_agents, 1)))
+    )
+    return lambda y: model.f(y, theta)
 
 
 def zero_model() -> SystemModel:
@@ -105,20 +115,27 @@ class TestPropagate:
         assert np.abs(coarse - ref).max() <= 1e-9
 
     def test_propagate_all_matches_per_bank(self):
-        model = make_model("paper-sys")
+        # One stacked step of [x; xhat] gives every bank's rows, and the true
+        # states of a plant stepped alone under theta_true.
+        model = make_model("paper-sys", [0.5], [0.4])
         banks = make_banks(fig_graph(), X0, [0.4])
-        stacked = propagate_all(banks, model, 0.01, "rk4")
-        for bank, got in zip(banks, stacked):
-            want = propagate(bank, model, 0.01, "rk4")
-            assert np.array_equal(got.estimates, want.estimates)
-            assert got.agents == bank.agents
+        plant = EstimatorBank(owner=0, agents=(0, 1, 2, 3, 4), estimates=X0.copy(),
+                              theta_hat=model.theta_true)
+        for scheme in ("euler", "rk4"):
+            y = propagate_all(np.concatenate((X0, X0)), stacked_field(model), 0.01, scheme)
+            for bank in banks:
+                want = propagate(bank, model, 0.01, scheme)
+                assert np.array_equal(y[5:][list(bank.agents)], want.estimates)
+            assert np.array_equal(y[:5], propagate(plant, model, 0.01, scheme).estimates)
 
     def test_propagate_all_deterministic(self):
         model = make_model("paper-sys")
+        field = stacked_field(model)
+        a = propagate_all(np.concatenate((X0, X0)), field, 0.01, "rk4")
+        b = propagate_all(np.concatenate((X0, X0)), field, 0.01, "rk4")
+        assert np.array_equal(a, b)
         banks = make_banks(fig_graph(), X0, [0.4])
-        a = propagate_all(banks, model, 0.01, "rk4")
-        b = propagate_all(banks, model, 0.01, "rk4")
-        for x, y in zip(a, b):
+        for x, y in zip(propagate_banks(banks, model, 0.01), propagate_banks(banks, model, 0.01)):
             assert np.array_equal(x.estimates, y.estimates)
 
     def test_non_finite_estimate_raises(self):
@@ -128,7 +145,16 @@ class TestPropagate:
         with pytest.raises(NumericsError):
             propagate(banks[0], model, 0.01)
         with pytest.raises(NumericsError):
-            propagate_all(banks, model, 0.01)
+            propagate_banks(banks, model, 0.01)
+        y = np.concatenate((X0, X0))
+        y[7, 1] = np.nan
+        with pytest.raises(NumericsError, match="estimator"):
+            propagate_all(y, stacked_field(model), 0.01)
+        # A non-finite true state is the caller's to report, with its time.
+        y = np.concatenate((X0, X0))
+        y[2, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(propagate_all(y, stacked_field(model), 0.01)[2]).all()
 
 
 class TestBroadcast:
@@ -136,25 +162,33 @@ class TestBroadcast:
         banks = make_banks(fig_graph(), X0, [0.4])
         state = np.array([7.0, -3.0])
         before3 = banks[3].estimates.copy()
-        apply_broadcast(banks, 1, state)
+        bank_broadcast(banks, 1, state)
         for i in (0, 1, 2, 4):
             assert np.array_equal(banks[i].estimate_of(1), state)
         assert np.array_equal(banks[3].estimates, before3)
+        # The one stored estimate of agent 1 is its row; no other row moves.
+        xhat = X0.copy()
+        apply_broadcast(xhat, 1, state)
+        assert np.array_equal(xhat[1], state)
+        assert np.array_equal(np.delete(xhat, 1, axis=0), np.delete(X0, 1, axis=0))
 
     def test_unknown_sender_rejected(self):
         banks = make_banks(fig_graph(), X0, [0.4])
-        with pytest.raises(TopologyError):
-            apply_broadcast(banks, 5, np.zeros(2))
-        with pytest.raises(TopologyError):
-            apply_broadcast(banks, -1, np.zeros(2))
+        for reset, target in ((bank_broadcast, banks), (apply_broadcast, X0.copy())):
+            with pytest.raises(TopologyError):
+                reset(target, 5, np.zeros(2))
+            with pytest.raises(TopologyError):
+                reset(target, -1, np.zeros(2))
 
     def test_estimates_of_one_agent_stay_bitwise_equal(self):
+        # Every bank's copy of agent j equals row j of the stacked estimates.
         model = make_model("paper-sys")
         banks = make_banks(fig_graph(), X0, [0.4])
+        y = np.concatenate((X0, X0))
         for _ in range(10):
-            banks = propagate_all(banks, model, 0.01, "rk4")
+            banks = propagate_banks(banks, model, 0.01, "rk4")
+            y = propagate_all(y, stacked_field(model), 0.01, "rk4")
         for j in range(5):
             holders = [b for b in banks if b.holds(j)]
-            ref = holders[0].estimate_of(j)
-            for bank in holders[1:]:
-                assert np.array_equal(bank.estimate_of(j), ref)
+            for bank in holders:
+                assert np.array_equal(bank.estimate_of(j), y[5 + j])

@@ -31,16 +31,13 @@ def synthetic_record(
     return RunRecord(
         times=times,
         states=states,
-        events=events,
         event_flags=flags,
         v_series=np.asarray(v_series, dtype=float),
         dist_series=(centered * centered).sum(axis=(1, 2)),
-        per_agent_event_counts=flags.sum(axis=0).astype(int),
         delta=zeros,
         threshold=zeros,
         w_norm=zeros,
         e_norm=zeros,
-        e_norm_post=zeros,
         agent_degrees=None if degrees is None else np.asarray(degrees, dtype=int),
     )
 
@@ -55,11 +52,12 @@ class TestGamma:
 
     def test_combines_error_and_events_at_paper_weight(self):
         # One instant, r_i chosen so the per-agent norms sum to 5 * 311;
-        # 3800 events then reproduce gamma = 311 + 0.1 * 3800 / 5 = 387.
-        states = np.zeros((1, 5, 2))
+        # 3800 events (all five agents at each of 760 instants) then
+        # reproduce gamma = 311 + 0.1 * 3800 / 5 = 387.
+        states = np.zeros((760, 5, 2))
         for i in range(1, 5):
             states[0, i, 0] = 311.0 * 5.0 / 4.0
-        events = [(0.0, i % 5) for i in range(3800)]
+        events = [(k * 0.01, i) for k in range(760) for i in range(5)]
         rec = synthetic_record(states, events=events)
         report = compute_metrics(rec)
         assert math.isclose(report.consensus_sum, 311.0, rel_tol=1e-12)
@@ -67,10 +65,10 @@ class TestGamma:
         assert math.isclose(report.gamma, 387.0, rel_tol=1e-12)
 
     def test_second_bracket_identity(self):
-        states = np.zeros((1, 5, 2))
+        states = np.zeros((3760, 5, 2))
         for i in range(1, 5):
             states[0, i, 1] = 388.0 * 5.0 / 4.0
-        events = [(0.0, i % 5) for i in range(18800)]
+        events = [(k * 0.01, i) for k in range(3760) for i in range(5)]
         report = compute_metrics(synthetic_record(states, events=events))
         assert math.isclose(report.gamma, 388.0 + 0.1 * 18800.0 / 5.0, rel_tol=1e-12)
 

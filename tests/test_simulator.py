@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import paper_cfg
-from etconsensus.config import config_from_dict
+from bank_reference import run_reference
+from conftest import paper_cfg, paper_dict, random_connected_graph
+from etconsensus.config import prepare_dict
 from etconsensus.dynamics import SystemModel, make_model, register_model
 from etconsensus.errors import ConfigError, NumericsError, UsageError
 from etconsensus.graph import Graph
@@ -229,8 +230,11 @@ class TestRunRecord:
         assert a.events == b.events
 
     def test_no_sync_mismatches(self, run_cache):
+        # One stored estimate per agent cannot disagree with itself; the
+        # bank-form reference, which keeps every copy, must agree too.
         rec = run_cache("paper-asym-040", duration=2.0)
         assert rec.sync_mismatches == 0
+        assert run_reference(prepare(rec.config)).sync_mismatches == 0
 
     def test_events_are_sample_aligned_and_spaced(self, run_cache):
         rec = run_cache("paper-asym-040", duration=2.0)
@@ -303,9 +307,11 @@ class TestZenoGuard:
         rec = run_cache("paper-zeno-040", duration=5.0)
         prep = prepare(rec.config)
         _, lip = lipschitz_cache([0.40])
-        fake = dataclasses.replace(
-            rec, events=[(0.01, 3), (0.01 + 1e-9, 3)]
-        )
+        flags = np.zeros_like(rec.event_flags)
+        flags[1:3, 3] = True
+        times = rec.times.copy()
+        times[2] = times[1] + 1e-9
+        fake = dataclasses.replace(rec, event_flags=flags, times=times)
         report = zeno_guard_report(fake, prep.params, lip)
         assert not report.satisfied
         assert report.min_inter_event[3] < report.tau[3]
@@ -314,10 +320,37 @@ class TestZenoGuard:
         rec = run_cache("paper-zeno-040", duration=5.0)
         prep = prepare(rec.config)
         _, lip = lipschitz_cache([0.40])
-        fake = dataclasses.replace(rec, events=[(0.5, 2)])
+        flags = np.zeros_like(rec.event_flags)
+        flags[50, 2] = True
+        fake = dataclasses.replace(rec, event_flags=flags)
         report = zeno_guard_report(fake, prep.params, lip)
         assert report.satisfied
         assert all(math.isinf(g) for g in report.min_inter_event)
+
+
+def network_80_dict(seed: int, duration: float) -> dict:
+    """80 agents on a random spanning tree plus 20 chords, gain kappa1 >= rho/mu."""
+    rng = np.random.default_rng(seed)
+    adj = random_connected_graph(rng, 80, extra=20).adjacency
+    x0 = rng.uniform(-1.0, 1.0, size=(80, 2)).tolist()
+    edges = [[i + 1, j + 1, float(adj[i, j])] for i, j in zip(*np.nonzero(np.triu(adj)))]
+    mu = float(np.linalg.eigvalsh(np.diag(adj.sum(axis=1))[1:, 1:] - adj[1:, 1:])[0])
+    return paper_dict(
+        n_agents=80, edges=edges, x0=x0, duration=duration,
+        sigma=[0.8] + [0.9] * 79, kappa1=max(0.1, 0.02 / mu),
+    )
+
+
+class TestBankReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_network_80_matches_reference(self, seed):
+        prep = prepare_dict(network_80_dict(seed, duration=0.3))
+        assert len(prep.groups) > 2
+        rec = run(prep)
+        ref = run_reference(prep)
+        assert ref.sync_mismatches == 0
+        for name in ("states", "event_flags", "delta", "threshold", "w_norm", "e_norm"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
 
 
 class TestFileOutputs:
@@ -351,6 +384,16 @@ class TestFileOutputs:
         assert "xhat5_2" in header
         loaded = load_run_record(out)
         assert np.array_equal(loaded.states, rec.states)
+
+    def test_reloaded_record_has_no_trigger_series(self, tmp_path, lipschitz_cache):
+        rec = run(paper_cfg(ctc="practical", xi=20.0, duration=0.5))
+        loaded = load_run_record(write_run_outputs(rec, tmp_path / "prac"))
+        for name in ("delta", "threshold", "w_norm", "e_norm", "e_norm_post"):
+            assert getattr(loaded, name) is None, name
+        assert np.array_equal(loaded.event_flags, rec.event_flags)
+        _, lip = lipschitz_cache([0.40])
+        with pytest.raises(UsageError, match="w"):
+            zeno_guard_report(loaded, prepare(rec.config).params, lip)
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -58,8 +58,12 @@ def test_special_values(tmp_path):
     states.reshape(-1)[: len(specials)] = specials
     times = rec.times.copy()
     times[1] = -0.0
-    events = rec.events + [(5e-324, 0), (-0.0, 4)]
-    assert_same_bytes(dataclasses.replace(rec, states=states, times=times, events=events), tmp_path)
+    times[2] = 5e-324
+    flags = rec.event_flags.copy()
+    flags[1, 4] = flags[2, 0] = True
+    assert_same_bytes(
+        dataclasses.replace(rec, states=states, times=times, event_flags=flags), tmp_path
+    )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
