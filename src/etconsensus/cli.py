@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -107,8 +108,15 @@ def _slug_value(v) -> str:
     return str(v).replace("/", "-")
 
 
-def _sweep_points(grid: dict):
-    """Cartesian product over grid axes; a key "a,b" pairs two fields."""
+def _sweep_points(grid: dict, limit: int | None) -> list:
+    """Cartesian product over grid axes; a key "a,b" pairs two fields.
+
+    A grid of more than ``limit`` points is refused before any is built.
+    """
+    if not isinstance(grid, dict):
+        raise ConfigError(
+            f'sweep "grid" must be an object mapping fields to value lists, got {grid!r}'
+        )
     keys = sorted(grid)
     if not keys:
         raise ConfigError("sweep grid is empty")
@@ -126,6 +134,12 @@ def _sweep_points(grid: dict):
                         f" every value must be a list of that length"
                     )
         value_lists.append(values)
+    n_points = math.prod(len(values) for values in value_lists)
+    if limit is not None and n_points > limit:
+        raise ConfigError(
+            f"sweep has {n_points} points, more than {limit}; pass --force to proceed"
+        )
+    points = []
     for combo in itertools.product(*value_lists):
         overrides = {}
         tokens = []
@@ -138,7 +152,8 @@ def _sweep_points(grid: dict):
                 for sk, sv in zip(subkeys, value):
                     overrides[sk] = sv
                     tokens.append(f"{sk}={_slug_value(sv)}")
-        yield "__".join(tokens), overrides
+        points.append(("__".join(tokens), overrides))
+    return points
 
 
 def _sweep_worker(item) -> tuple[str, dict | None, tuple[int, str] | None]:
@@ -166,16 +181,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError('sweep file must be an object with a "grid" entry')
     if ("preset" in spec) == ("base" in spec):
         raise ConfigError('sweep file must contain exactly one of "preset" or "base"')
+    if "base" in spec and not isinstance(spec["base"], dict):
+        raise ConfigError(f'sweep "base" must be a config object, got {spec["base"]!r}')
     base = preset_config(spec["preset"]) if "preset" in spec else dict(spec["base"])
     if args.integrator:
         base["integrator"] = args.integrator
 
-    points = list(_sweep_points(spec["grid"]))
-    if len(points) > _SWEEP_LIMIT and not args.force:
-        raise ConfigError(
-            f"sweep has {len(points)} points, more than {_SWEEP_LIMIT};"
-            " pass --force to proceed"
-        )
+    points = _sweep_points(spec["grid"], None if args.force else _SWEEP_LIMIT)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     items = []

@@ -119,7 +119,7 @@ def preset_config(name: str) -> dict:
     presets = _preset_dicts()
     try:
         return presets[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(
             f"unknown preset {name!r}; available: {PRESET_NAMES}"
         ) from None

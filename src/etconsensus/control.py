@@ -9,18 +9,26 @@ Triggering compares delta_i = e_i' S_i e_i + |w_i' R_i e_i| against the
 threshold sigma_i * w_i' Theta_i w_i, plus a constant relaxation xi in the
 practical variant. S_i's scalar coefficient is used exactly as derived, with
 no clamping: a negative coefficient only delays triggering.
+
+The Zeno guard holds a practical-CTC run record's measured inter-event gaps
+against the analytic lower bound tau_i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError
+from .errors import ConfigError, DegenerateError, UsageError
 from .graph import Laplacian
-from .linalg import eigvalsh
+from .linalg import eigvalsh, spectral_norm
+
+if TYPE_CHECKING:
+    from .dynamics import LipschitzData
+    from .simulator import RunRecord
 
 
 @dataclass(frozen=True)
@@ -197,3 +205,66 @@ def practical_consensus_bound(N: int, xi: float, q: float, P: np.ndarray) -> flo
 
         raise CertificateError("P must be positive definite")
     return N * xi / (q * lam_min)
+
+
+@dataclass(frozen=True)
+class ZenoGuardReport:
+    """Per-agent comparison of measured minimum inter-event gaps against tau_i."""
+
+    min_inter_event: tuple
+    tau: tuple
+    w_max: tuple
+    satisfied: bool
+
+
+def zeno_guard_report(
+    record: RunRecord, params: TriggerParams, lipschitz: LipschitzData
+) -> ZenoGuardReport:
+    """Check min inter-event time >= tau_i per agent on a practical-CTC record.
+
+    Agents with fewer than two events are vacuously satisfied. tau_i uses the
+    run-measured per-agent w_max and the grid-estimated k and Delta, so a
+    record without its |w| series (one reloaded from files) is refused.
+    """
+    if record.config is None or record.config.ctc != "practical":
+        raise UsageError(
+            "the Zeno guard applies only to practical-CTC records;"
+            " the asymptotic trigger carries no inter-event guarantee"
+        )
+    if record.w_norm is None:
+        raise UsageError(
+            "the Zeno guard needs the run's |w| series, which a reloaded record lacks"
+        )
+    n_agents = record.w_norm.shape[1]
+    bbtp_norm = spectral_norm(params.B @ params.BtP)
+    gaps = []
+    taus = []
+    w_maxes = []
+    ok = True
+    for i in range(n_agents):
+        w_max = float(record.w_norm[:, i].max())
+        w_maxes.append(w_max)
+        try:
+            nu = error_growth_gain(params.kappa, bbtp_norm, w_max, lipschitz.Delta, lipschitz.k)
+            tau = tau_lower_bound(
+                lipschitz.k,
+                nu,
+                spectral_norm(params.S[i]),
+                spectral_norm(params.R[i]),
+                w_max,
+                params.xi,
+            )
+        except Exception:
+            tau = math.inf
+        taus.append(tau)
+        t_events = record.times[record.event_flags[:, i]]
+        if len(t_events) < 2:
+            gaps.append(math.inf)
+            continue
+        gap = float(np.diff(t_events).min())
+        gaps.append(gap)
+        if gap < tau:
+            ok = False
+    return ZenoGuardReport(
+        min_inter_event=tuple(gaps), tau=tuple(taus), w_max=tuple(w_maxes), satisfied=ok
+    )

@@ -130,10 +130,10 @@ def _paper_f(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     th = theta[..., 0]
     z1 = x[..., 0]
     z2 = x[..., 1]
-    c2 = np.cos(z2)
+    tc2 = th * np.cos(z2)
     out = np.empty_like(x)
-    out[..., 0] = z2 + th * c2
-    out[..., 1] = -z1 + th * c2 + (th * th) * np.cos(z1) * np.sin(z1)
+    out[..., 0] = z2 + tc2
+    out[..., 1] = (tc2 - z1) + (th * th) * np.cos(z1) * np.sin(z1)
     return out
 
 

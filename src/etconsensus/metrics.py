@@ -44,8 +44,14 @@ class MetricReport:
         }
 
 
-# Samples per block when forming the leader distances |r_i(k)| from the states.
+# Samples per block of a five-agent record when a pass over the states
+# builds temporaries; wider records take proportionally fewer samples.
 _NORM_BLOCK = 256
+
+
+def block_rows(n_agents: int) -> int:
+    """Samples per block, so that a block holds about _NORM_BLOCK * 5 agent states."""
+    return max(1, _NORM_BLOCK * 5 // n_agents)
 
 
 def compute_metrics(record, chi: float = 0.1) -> MetricReport:
@@ -53,10 +59,11 @@ def compute_metrics(record, chi: float = 0.1) -> MetricReport:
     states = record.states
     n_samples, n_agents, _ = states.shape
     r_norms = np.empty((n_samples, n_agents))
-    for start in range(0, n_samples, _NORM_BLOCK):
-        block = states[start : start + _NORM_BLOCK]
+    rows = block_rows(n_agents)
+    for start in range(0, n_samples, rows):
+        block = states[start : start + rows]
         r = block - block[:, :1, :]
-        r_norms[start : start + _NORM_BLOCK] = np.sqrt((r * r).sum(axis=2))
+        r_norms[start : start + rows] = np.sqrt((r * r).sum(axis=2))
     consensus_sum = float(r_norms.sum() / n_agents)
     counts = record.event_flags.sum(axis=0)
     comm_count = int(counts.sum())

@@ -11,9 +11,16 @@ Each agent's estimate is stored once, as one row of an (N, n) array, although
 in the scheme agent i holds an estimate of itself and of every neighbour.
 That is exact: every copy of an estimate integrates the same drift under the
 same parameter estimate and is reset by the same broadcasts, so the copies
-agree bit for bit. The disagreement w_i reads its neighbourhood's rows with
-one batched product per neighbourhood size, the same arithmetic as one
-product per agent.
+agree bit for bit.
+
+The disagreement w_i = sum_j l_ij (xhat_j - xhat_i) feeds the control law and
+both trigger conditions. ``prepare`` lays every agent's closed neighbourhood
+out flat, the agents grouped by neighbourhood size, so one gather forms every
+difference xhat_j - xhat_i and one batched product per size forms the sums:
+the same per-row arithmetic as one product per agent. A world carries the
+disagreement of its estimates as they stand after the step's broadcasts, so
+the next step's control term reads it instead of recomputing it, and when no
+agent fired the trigger's own w is that disagreement already.
 
 Runs are bit-for-bit reproducible for a fixed numpy/BLAS build: no
 randomness, no wall-clock dependence in the dynamics, and a deterministic
@@ -27,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,19 +42,20 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .control import (
+from .control import (  # the Zeno guard is part of this module's API
     TriggerParams,
     TriggerState,
+    ZenoGuardReport,
     build_trigger_params,
     check_gain_condition,
-    error_growth_gain,
-    tau_lower_bound,
+    zeno_guard_report,
 )
-from .dynamics import CmfCertificate, LipschitzData, SystemModel, make_model
-from .errors import ConfigError, NumericsError, UsageError
+from .dynamics import CmfCertificate, SystemModel, make_model
+from .errors import ConfigError, NumericsError
 from .estimation import EstimatorBank, apply_broadcast, propagate_all
 from .graph import Graph, Laplacian, build_laplacian
 from .integrate import INTEGRATORS
+from .outputs import write_run_outputs  # part of this module's API
 
 CTC_VARIANTS = ("asymptotic", "practical")
 
@@ -128,10 +137,14 @@ class SimConfig:
 class Prepared:
     """Validated, fully derived run inputs.
 
-    ``groups`` holds the agents grouped by neighbourhood size k, as one
-    ``(rows, idx, coeffs)`` triple per k: ``rows`` (g,) are the agents,
-    ``idx`` (g, k) their closed neighbourhoods sorted by agent id, and
-    ``coeffs`` (g, k) the matching Laplacian entries ``L[rows[:, None], idx]``.
+    The disagreement layout takes the agents in group order: by closed
+    neighbourhood size k, then by id. ``flat_idx`` joins their closed
+    neighbourhoods, each sorted by agent id, and ``flat_own`` repeats each
+    agent k times, so ``xhat[flat_idx] - xhat[flat_own]`` holds every
+    difference xhat_j - xhat_i. ``blocks`` has one ``(diffs, rows, shape,
+    coeffs)`` entry per k: the group's slice of the differences, its slice of
+    the group order, the (g, k, n) shape of its differences and its Laplacian
+    entries as (g, 1, k). ``inv`` maps each agent to its place in group order.
     ``theta_rows`` (2N, p) is the parameter of each row of the stacked state
     [x; xhat]: theta_true for the true states, theta_hat for the estimates.
     ``Q`` is P B B' P, the matrix behind every trigger quadratic form.
@@ -144,7 +157,10 @@ class Prepared:
     params: TriggerParams
     cert: CmfCertificate
     x0: np.ndarray
-    groups: tuple
+    flat_idx: np.ndarray
+    flat_own: np.ndarray
+    blocks: tuple
+    inv: np.ndarray
     theta_rows: np.ndarray
     Q: np.ndarray
     n_steps: int
@@ -197,6 +213,26 @@ def _check_field_types(cfg: SimConfig) -> None:
             )
 
 
+def _check_record_fits(n_steps: int, n_agents: int, n: int, dump_estimates: bool) -> None:
+    """Refuse a run whose record would not fit in this machine's memory.
+
+    The record holds, per sample, the time, the states, four trigger series,
+    the event flags and, when dumped, the estimates.
+    """
+    row_bytes = 8 + n_agents * (8 * n * (2 if dump_estimates else 1) + 4 * 8 + 1)
+    need = (n_steps + 1) * row_bytes
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ConfigError(
+            f"duration/h = {n_steps} steps need a {need / 2**30:.3g} GiB record, more"
+            f" than this machine's {have / 2**30:.3g} GiB of memory; shorten duration"
+            " or raise h"
+        )
+
+
 def prepare(cfg: SimConfig) -> Prepared:
     """Validate a config and derive every object a run needs.
 
@@ -226,6 +262,8 @@ def prepare(cfg: SimConfig) -> Prepared:
         raise ConfigError(f"xi must be 0 when ctc is asymptotic, got {cfg.xi!r}")
 
     model = make_model(cfg.model, cfg.theta, cfg.theta_hat)
+    n_steps = int(round(steps))
+    _check_record_fits(n_steps, cfg.n_agents, model.state_dim, cfg.dump_estimates)
     graph = Graph.from_edges(cfg.n_agents, cfg.edges)
     lap = build_laplacian(graph, cfg.epsilon)
 
@@ -235,7 +273,12 @@ def prepare(cfg: SimConfig) -> Prepared:
             f"x0 must have shape {(cfg.n_agents, model.state_dim)}, got {x0.shape}"
         )
 
-    cert = CmfCertificate(P=np.asarray(cfg.P, dtype=float), rho=cfg.rho, q=cfg.q)
+    P = np.asarray(cfg.P, dtype=float)
+    if P.shape != (model.state_dim, model.state_dim):
+        raise ConfigError(
+            f"P must have shape {(model.state_dim, model.state_dim)}, got {P.shape}"
+        )
+    cert = CmfCertificate(P=P, rho=cfg.rho, q=cfg.q)
     check_gain_condition(cfg.kappa1, cfg.rho, lap.mu)
     params = build_trigger_params(
         lap,
@@ -250,11 +293,23 @@ def prepare(cfg: SimConfig) -> Prepared:
 
     # The nonzero entries of Laplacian row i are exactly {i} union neighbours(i).
     members = [sorted({i, *graph.neighbours(i).tolist()}) for i in range(cfg.n_agents)]
-    groups = []
+    order = sorted(range(cfg.n_agents), key=lambda i: len(members[i]))
+    blocks = []
+    start = first = 0
     for k in sorted({len(m) for m in members}):
-        rows = np.array([i for i, m in enumerate(members) if len(m) == k])
-        idx = np.array([members[i] for i in rows])
-        groups.append((rows, idx, lap.L[rows[:, None], idx]))
+        rows = [i for i in order if len(members[i]) == k]
+        g = len(rows)
+        coeffs = lap.L[np.array(rows)[:, None], np.array([members[i] for i in rows])]
+        blocks.append((
+            slice(start, start + g * k),
+            slice(first, first + g),
+            (g, k, model.state_dim),
+            coeffs[:, None, :],
+        ))
+        start += g * k
+        first += g
+    inv = np.empty(cfg.n_agents, dtype=np.intp)
+    inv[order] = np.arange(cfg.n_agents)
     return Prepared(
         cfg=cfg,
         model=model,
@@ -263,10 +318,13 @@ def prepare(cfg: SimConfig) -> Prepared:
         params=params,
         cert=cert,
         x0=x0,
-        groups=tuple(groups),
+        flat_idx=np.array([j for i in order for j in members[i]], dtype=np.intp),
+        flat_own=np.repeat(order, [len(members[i]) for i in order]),
+        blocks=tuple(blocks),
+        inv=inv,
         theta_rows=np.repeat(np.stack((model.theta_true, model.theta_hat)), cfg.n_agents, axis=0),
         Q=params.P @ params.B @ params.B.T @ params.P,
-        n_steps=int(round(steps)),
+        n_steps=n_steps,
     )
 
 
@@ -275,21 +333,28 @@ class WorldState:
     """Instantaneous simulation state: time, true states, estimates, trigger data.
 
     ``x`` and ``xhat`` are (N, n); ``xhat[j]`` is the estimate of agent j held
-    by j and by each of its neighbours.
+    by j and by each of its neighbours. ``w`` (N, n) is the disagreement of
+    ``xhat`` as it stands, after this step's broadcasts: it is always bitwise
+    equal to ``_disagreement(xhat, prep)``, and the next step's control term
+    reads it. ``trigger`` is this step's evaluation, made before the
+    broadcasts.
     """
 
     t: float
     x: np.ndarray
     xhat: np.ndarray
+    w: np.ndarray
     trigger: TriggerState
 
 
 def initial_world(prep: Prepared) -> WorldState:
     n_agents, n = prep.x0.shape
+    xhat = prep.x0.copy()
     return WorldState(
         t=0.0,
         x=prep.x0.copy(),
-        xhat=prep.x0.copy(),
+        xhat=xhat,
+        w=_disagreement(xhat, prep),
         trigger=TriggerState.initial(n_agents, n),
     )
 
@@ -302,31 +367,38 @@ def step(world: WorldState, prep: Prepared) -> WorldState:
 def _disagreement(xhat: np.ndarray, prep: Prepared) -> np.ndarray:
     """w_i = sum_j l_ij (xhat_j - xhat_i) over i's closed neighbourhood, for every i.
 
-    One batched product per neighbourhood size gives the same bits as one
-    ``coeffs_i @ (xhat[members_i] - xhat_i)`` per agent; a dense ``L @ xhat``
-    or one zero-padded stack does not.
+    One gather forms every difference, then one batched product per
+    neighbourhood size runs the same per-row product as one
+    ``coeffs_i @ (xhat[members_i] - xhat_i)`` per agent, so the bits agree
+    with it; a dense ``L @ xhat`` or one zero-padded stack does not.
     """
-    w = np.empty_like(xhat)
-    for rows, idx, coeffs in prep.groups:
-        w[rows] = (coeffs[:, None, :] @ (xhat[idx] - xhat[rows][:, None, :]))[:, 0, :]
-    return w
+    d = xhat[prep.flat_idx] - xhat[prep.flat_own]
+    w = np.empty((len(prep.inv), 1, xhat.shape[1]))
+    for diffs, rows, shape, coeffs in prep.blocks:
+        np.matmul(coeffs, d[diffs].reshape(shape), out=w[rows])
+    return w[prep.inv, 0]
 
 
-def _evaluate(x: np.ndarray, xhat: np.ndarray, prep: Prepared) -> TriggerState:
+def _evaluate(
+    x: np.ndarray, xhat: np.ndarray, prep: Prepared, w: np.ndarray | None = None
+) -> TriggerState:
     """Both trigger quantities and the firing test, for every agent at once.
 
+    ``w`` is the disagreement of ``xhat`` when the caller already has it.
     The quadratic forms use S_i = s_i Q, Theta_i = c_i Q, R_i = 2 kappa Q with
     Q = P B B' P, so one (N, n) sweep covers every agent.
     """
     params = prep.params
     e = x - xhat
-    w = _disagreement(xhat, prep)
+    if w is None:
+        w = _disagreement(xhat, prep)
     wQ = w @ prep.Q
     eQ = e @ prep.Q
-    delta = params.s_coeff * (eQ * e).sum(axis=1) + np.abs(
-        2.0 * params.kappa * (wQ * e).sum(axis=1)
+    add = np.add.reduce
+    delta = params.s_coeff * add(eQ * e, axis=1) + np.abs(
+        2.0 * params.kappa * add(wQ * e, axis=1)
     )
-    threshold = params.sigma * params.theta_coeff * (wQ * w).sum(axis=1)
+    threshold = params.sigma * params.theta_coeff * add(wQ * w, axis=1)
     fired = delta - threshold - params.xi > 0.0
     return TriggerState(e=e, w=w, delta=delta, threshold=threshold, fired=fired)
 
@@ -342,8 +414,7 @@ def _step(world: WorldState, prep: Prepared) -> WorldState:
     # and vanishes exactly when the estimates agree, so a consensus state
     # cannot be perturbed by summation residue. Only follower plant rows get
     # it: adding a zero row elsewhere would turn -0.0 into +0.0.
-    w_ctl = _disagreement(world.xhat, prep)
-    bu = (-params.kappa * (w_ctl[1:] @ params.BtP.T)) @ model.B.T
+    bu = (-params.kappa * (world.w[1:] @ params.BtP.T)) @ model.B.T
     f = model.f
     theta_rows = prep.theta_rows
 
@@ -361,11 +432,14 @@ def _step(world: WorldState, prep: Prepared) -> WorldState:
         )
 
     # Evaluate every agent on post-integration, pre-reset values, then
-    # broadcast all firing agents as one batch.
+    # broadcast all firing agents as one batch. Without a broadcast the
+    # estimates stand as evaluated, and so does their disagreement.
     trigger = _evaluate(x_new, xhat_new, prep)
-    for i in np.nonzero(trigger.fired)[0]:
-        apply_broadcast(xhat_new, int(i), x_new[int(i)])
-    return WorldState(t=t_new, x=x_new, xhat=xhat_new, trigger=trigger)
+    fired = trigger.fired.nonzero()[0].tolist()
+    for i in fired:
+        apply_broadcast(xhat_new, i, x_new[i])
+    w = _disagreement(xhat_new, prep) if fired else trigger.w
+    return WorldState(t=t_new, x=x_new, xhat=xhat_new, w=w, trigger=trigger)
 
 
 @dataclass
@@ -450,14 +524,22 @@ def _banks_synchronized(banks: list[EstimatorBank], groups: tuple) -> bool:
 def _v_and_dist(states: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V(k) = sum over followers of r_i' P r_i, and the squared spread about the mean.
 
-    Each full-size temporary is freed before the next is made.
+    Samples are taken in blocks of ``metrics.block_rows`` rows, so the
+    temporaries stay small however long or wide the record is; every sample
+    is computed on its own, so the blocking does not change the bits.
     """
-    rf = (states - states[:, :1, :])[:, 1:, :]
-    v_series = np.einsum("kin,nm,kim->k", rf, P, rf)
-    del rf
-    centered = states - states.mean(axis=1, keepdims=True)
-    centered *= centered
-    return v_series, centered.sum(axis=(1, 2))
+    n_samples, n_agents, _ = states.shape
+    v_series = np.empty(n_samples)
+    dist_series = np.empty(n_samples)
+    rows = metrics_mod.block_rows(n_agents)
+    for start in range(0, n_samples, rows):
+        block = states[start : start + rows]
+        rf = (block - block[:, :1, :])[:, 1:, :]
+        v_series[start : start + rows] = np.einsum("kin,nm,kim->k", rf, P, rf)
+        centered = block - block.mean(axis=1, keepdims=True)
+        centered *= centered
+        dist_series[start : start + rows] = centered.sum(axis=(1, 2))
+    return v_series, dist_series
 
 
 def _assemble_record(
@@ -535,14 +617,14 @@ def run(spec: Prepared | SimConfig) -> RunRecord:
         states[k] = world.x
         delta[k] = tr.delta
         threshold[k] = tr.threshold
-        w_norm[k] = np.sqrt((tr.w * tr.w).sum(axis=1))
-        e_norm[k] = np.sqrt((tr.e * tr.e).sum(axis=1))
+        np.sqrt(np.add.reduce(tr.w * tr.w, axis=1), out=w_norm[k])
+        np.sqrt(np.add.reduce(tr.e * tr.e, axis=1), out=e_norm[k])
         if est_series is not None:
             est_series[k] = world.xhat
 
     # Row 0: every estimate starts at x0, so e = 0 and delta = 0; no event.
     world = initial_world(prep)
-    keep(0, world, _evaluate(world.x, world.xhat, prep))
+    keep(0, world, _evaluate(world.x, world.xhat, prep, world.w))
     start = time.perf_counter()
     for k in range(1, rows):
         try:
@@ -560,135 +642,7 @@ def run(spec: Prepared | SimConfig) -> RunRecord:
     return _assemble_record(prep, *series, time.perf_counter() - start)
 
 
-@dataclass(frozen=True)
-class ZenoGuardReport:
-    """Per-agent comparison of measured minimum inter-event gaps against tau_i."""
-
-    min_inter_event: tuple
-    tau: tuple
-    w_max: tuple
-    satisfied: bool
-
-
-def zeno_guard_report(
-    record: RunRecord, params: TriggerParams, lipschitz: LipschitzData
-) -> ZenoGuardReport:
-    """Check min inter-event time >= tau_i per agent on a practical-CTC record.
-
-    Agents with fewer than two events are vacuously satisfied. tau_i uses the
-    run-measured per-agent w_max and the grid-estimated k and Delta, so a
-    record without its |w| series (one reloaded from files) is refused.
-    """
-    if record.config is None or record.config.ctc != "practical":
-        raise UsageError(
-            "the Zeno guard applies only to practical-CTC records;"
-            " the asymptotic trigger carries no inter-event guarantee"
-        )
-    if record.w_norm is None:
-        raise UsageError(
-            "the Zeno guard needs the run's |w| series, which a reloaded record lacks"
-        )
-    n_agents = record.w_norm.shape[1]
-    from .linalg import spectral_norm
-
-    bbtp_norm = spectral_norm(params.B @ params.BtP)
-    gaps = []
-    taus = []
-    w_maxes = []
-    ok = True
-    for i in range(n_agents):
-        w_max = float(record.w_norm[:, i].max())
-        w_maxes.append(w_max)
-        try:
-            nu = error_growth_gain(params.kappa, bbtp_norm, w_max, lipschitz.Delta, lipschitz.k)
-            tau = tau_lower_bound(
-                lipschitz.k,
-                nu,
-                spectral_norm(params.S[i]),
-                spectral_norm(params.R[i]),
-                w_max,
-                params.xi,
-            )
-        except Exception:
-            tau = math.inf
-        taus.append(tau)
-        t_events = record.times[record.event_flags[:, i]]
-        if len(t_events) < 2:
-            gaps.append(math.inf)
-            continue
-        gap = float(np.diff(t_events).min())
-        gaps.append(gap)
-        if gap < tau:
-            ok = False
-    return ZenoGuardReport(
-        min_inter_event=tuple(gaps), tau=tuple(taus), w_max=tuple(w_maxes), satisfied=ok
-    )
-
-
 # --- file outputs ------------------------------------------------------------
-
-
-# Rows of states.csv gathered into one array per block before formatting.
-_WRITE_BLOCK = 256
-
-
-def write_run_outputs(
-    record: RunRecord,
-    out_dir,
-    extra_summary: dict | None = None,
-    report: metrics_mod.MetricReport | None = None,
-) -> Path:
-    """Write states.csv, events.csv and summary.json into ``out_dir``.
-
-    ``report`` is the record's metric report when the caller already has it;
-    otherwise it is computed here.
-
-    The CSVs are streamed: states go out in blocks of rows and each row is
-    formatted on its own, so no file's full text is held in memory. One
-    "%.17g" per value gives the same text as format(v, ".17g") for every
-    double, -0.0, subnormals, inf and nan included.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    n_samples, n_agents, n = record.states.shape
-
-    cols = [f"x{i + 1}_{d + 1}" for i in range(n_agents) for d in range(n)]
-    series = [record.times[:, None], record.states.reshape(n_samples, -1)]
-    if record.est_series is not None:
-        cols += [f"xhat{i + 1}_{d + 1}" for i in range(n_agents) for d in range(n)]
-        series.append(record.est_series.reshape(n_samples, -1))
-    row_fmt = ",".join(["%.17g"] * (len(cols) + 1)) + "\n"
-    with (out / "states.csv").open("w") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        for start in range(0, n_samples, _WRITE_BLOCK):
-            block = np.concatenate([s[start : start + _WRITE_BLOCK] for s in series], axis=1)
-            for row in block:
-                fh.write(row_fmt % tuple(row.tolist()))
-
-    ks, agents = np.nonzero(record.event_flags)
-    with (out / "events.csv").open("w") as fh:
-        fh.write("t,agent\n")
-        for t, agent in zip(record.times[ks].tolist(), agents.tolist()):
-            fh.write("%.17g,%d\n" % (t, agent + 1))
-
-    if report is None:
-        report = metrics_mod.compute_metrics(record)
-    summary = {
-        "config": None if record.config is None else record.config.to_dict(),
-        "derived": record.derived,
-        "metrics": report.to_dict(),
-        "v_initial": record.v_initial,
-        "v_final": record.v_final,
-        "n_events": len(ks),
-        "per_agent_event_counts": record.per_agent_event_counts.tolist(),
-        "sync_mismatches": record.sync_mismatches,
-        "runtime_seconds": record.runtime_seconds,
-        "error": record.error,
-    }
-    if extra_summary:
-        summary.update(extra_summary)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return out
 
 
 def load_run_record(run_dir) -> RunRecord:

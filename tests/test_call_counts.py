@@ -1,9 +1,9 @@
-"""Each run is validated, derived and measured once.
+"""Each run is validated, derived and measured once, and w is formed no more than needed.
 
 ``prepare`` (which builds the Laplacian and solves its spectra) and
-``compute_metrics`` are counted across ``cli.main`` invocations by replacing
-every reference the package's modules hold to them, imports by value
-included.
+``compute_metrics`` are counted across ``cli.main`` invocations, and
+``simulator._disagreement`` across one run, by replacing every reference the
+package's modules hold to them, imports by value included.
 """
 
 import json
@@ -13,13 +13,22 @@ import pytest
 
 from etconsensus import graph, metrics, simulator
 from etconsensus.cli import main
-from etconsensus.config import preset_config
+from etconsensus.config import load_preset, preset_config
 
 COUNTED = {
     "prepare": simulator.prepare,
     "build_laplacian": graph.build_laplacian,
     "compute_metrics": metrics.compute_metrics,
 }
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    for modname, mod in list(sys.modules.items()):
+        if mod is None or not modname.startswith("etconsensus"):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, replacement)
 
 
 @pytest.fixture
@@ -31,12 +40,7 @@ def counts(monkeypatch):
             tally[_name] += 1
             return _original(*args, **kwargs)
 
-        for modname, mod in list(sys.modules.items()):
-            if mod is None or not modname.startswith("etconsensus"):
-                continue
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
+        patch_everywhere(monkeypatch, original, counting)
     return tally
 
 
@@ -70,3 +74,26 @@ def test_one_of_each_per_sweep_point(counts, tmp_path):
     argv = ["sweep", "--config", str(spec), "--out", str(tmp_path / "out"), "--jobs", "1"]
     assert main(argv) == 0
     assert counts == dict.fromkeys(COUNTED, 2)
+
+
+@pytest.mark.parametrize("preset", ["paper-asym-040", "paper-zeno-040"])
+def test_one_disagreement_per_step_and_per_broadcast_step(preset, monkeypatch):
+    """One w per trigger evaluation, plus one on the reset estimates of a step with a broadcast.
+
+    The initial world forms the first; a step without a broadcast hands its
+    trigger's w on to the next step's control term.
+    """
+    prep = load_preset(preset, duration=2.0).prepared
+    calls = 0
+    original = simulator._disagreement
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, original, counting)
+    rec = simulator.run(prep)
+    broadcast_steps = int(rec.event_flags.any(axis=1).sum())
+    assert 0 < broadcast_steps < rec.n_steps
+    assert calls == rec.n_steps + 1 + broadcast_steps

@@ -148,6 +148,7 @@ class TestConfigFiles:
             ("edges", [1, 2]),
             ("h", 0.03),  # 10 s is not a whole number of steps
             ("duration", 10.005),
+            ("P", [[1.0]]),
         ],
     )
     def test_malformed_value_exits_2_naming_field(self, field, value, tmp_path, capsys):
@@ -155,6 +156,40 @@ class TestConfigFiles:
         d[field] = value
         cfgp = write_json(tmp_path / "c.json", d)
         assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert field in err
+
+    @pytest.mark.parametrize(
+        "values,named",
+        [
+            # 10^12 steps: a record of ~230 TiB
+            ({"duration": 1e6, "h": 1e-6}, ("duration", "h")),
+            ({"P": [[5.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, ("P",)),
+        ],
+    )
+    def test_malformed_values_exit_2_naming_fields(self, values, named, tmp_path, capsys):
+        d = preset_config("paper-asym-040")
+        d.update(values)
+        cfgp = write_json(tmp_path / "c.json", d)
+        assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        for name in named:
+            assert name in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ({"base": 5, "grid": {"sigma": [0.5]}}, '"base"'),
+            ({"preset": "paper-asym-040", "grid": ["sigma"]}, '"grid"'),
+            ({"preset": ["paper-asym-040"], "grid": {"sigma": [0.5]}}, "preset"),
+        ],
+    )
+    def test_malformed_sweep_exits_2_naming_field(self, spec, field, tmp_path, capsys):
+        specp = write_json(tmp_path / "s.json", spec)
+        assert main(["sweep", "--config", specp, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert field in err
@@ -409,6 +444,13 @@ class TestSweep:
         rc = main(["sweep", "--config", write_json(tmp_path / "s.json", spec), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "--force" in capsys.readouterr().err
+
+    def test_huge_grid_is_refused_before_it_is_built(self, tmp_path, capsys):
+        axis = list(range(1000))
+        spec = {"preset": "paper-asym-040", "grid": {"seed": axis, "xi": axis, "q": axis}}
+        rc = main(["sweep", "--config", write_json(tmp_path / "s.json", spec), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "1000000000 points" in capsys.readouterr().err
 
     def test_paired_axis_length_mismatch(self, tmp_path):
         spec = {"preset": "paper-asym-040", "grid": {"ctc,xi": [["asymptotic"]]}}

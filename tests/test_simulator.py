@@ -6,15 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from bank_reference import run_reference
+import bank_reference
+from bank_reference import compute_wi, make_banks, run_reference
 from conftest import paper_cfg, paper_dict, random_connected_graph
-from etconsensus.config import prepare_dict
+from etconsensus.config import load_preset, prepare_dict
 from etconsensus.dynamics import SystemModel, make_model, register_model
 from etconsensus.errors import ConfigError, NumericsError, UsageError
 from etconsensus.graph import Graph
 from etconsensus.simulator import (
     SimConfig,
     WorldState,
+    _disagreement,
     initial_world,
     load_run_record,
     prepare,
@@ -328,24 +330,84 @@ class TestZenoGuard:
         assert all(math.isinf(g) for g in report.min_inter_event)
 
 
-def network_80_dict(seed: int, duration: float) -> dict:
-    """80 agents on a random spanning tree plus 20 chords, gain kappa1 >= rho/mu."""
-    rng = np.random.default_rng(seed)
-    adj = random_connected_graph(rng, 80, extra=20).adjacency
-    x0 = rng.uniform(-1.0, 1.0, size=(80, 2)).tolist()
+def graph_dict(adj: np.ndarray, x0: list, duration: float) -> dict:
+    """The paper's agents on the graph ``adj``, with gain kappa1 >= rho/mu."""
+    n = adj.shape[0]
     edges = [[i + 1, j + 1, float(adj[i, j])] for i, j in zip(*np.nonzero(np.triu(adj)))]
     mu = float(np.linalg.eigvalsh(np.diag(adj.sum(axis=1))[1:, 1:] - adj[1:, 1:])[0])
     return paper_dict(
-        n_agents=80, edges=edges, x0=x0, duration=duration,
-        sigma=[0.8] + [0.9] * 79, kappa1=max(0.1, 0.02 / mu),
+        n_agents=n, edges=edges, x0=x0, duration=duration,
+        sigma=[0.8] + [0.9] * (n - 1), kappa1=max(0.1, 0.02 / mu),
     )
+
+
+def network_80_dict(seed: int, duration: float) -> dict:
+    """80 agents on a random spanning tree plus 20 chords."""
+    rng = np.random.default_rng(seed)
+    adj = random_connected_graph(rng, 80, extra=20).adjacency
+    return graph_dict(adj, rng.uniform(-1.0, 1.0, size=(80, 2)).tolist(), duration)
+
+
+class TestDisagreement:
+    """The flat-gather w against the per-agent forms of the bank reference.
+
+    The bank reference forms w_i as one product ``coeffs_i @ (est - own)``
+    per agent, the arithmetic the core must match bit for bit. The scalar
+    ``compute_wi`` adds the terms one at a time, a different rounding order,
+    so it agrees only to rounding.
+    """
+
+    @staticmethod
+    def check(prep, rng):
+        n_agents = prep.graph.n_agents
+        layout = bank_reference.bank_layout(prep)
+        for scale in (1e-3, 1.0, 1e3):
+            xhat = scale * rng.normal(size=(n_agents, 2))
+            banks = make_banks(prep.graph, xhat, prep.model.theta_hat)
+            w = _disagreement(xhat, prep)
+            ref = bank_reference._evaluate(xhat, banks, prep, layout).w
+            assert np.array_equal(w, ref)
+            scalar = np.array([compute_wi(i, banks[i], prep.lap) for i in range(n_agents)])
+            assert np.allclose(w, scalar, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 30 + 10 * seed
+        graph = random_connected_graph(rng, n, extra=2 * n, weighted=True)
+        prep = prepare_dict(graph_dict(graph.adjacency, [[0.0, 0.0]] * n, duration=0.0))
+        assert max(len(graph.neighbours(i)) + 1 for i in range(n)) >= 10
+        assert len(prep.blocks) > 3
+        self.check(prep, rng)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_network_80(self, seed):
+        prep = prepare_dict(network_80_dict(seed, duration=0.0))
+        self.check(prep, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("preset", ["paper-asym-040", "paper-zeno-040"])
+    def test_carried_w_matches_recomputed(self, preset):
+        """The public step over 300 steps: the carried w is the estimates' own, and
+        each step's states, flags and trigger series equal run()'s."""
+        prep = load_preset(preset, duration=3.0).prepared
+        rec = run(prep)
+        world = initial_world(prep)
+        assert np.array_equal(world.w, _disagreement(world.xhat, prep))
+        for k in range(1, prep.n_steps + 1):
+            world = step(world, prep)
+            assert np.array_equal(world.w, _disagreement(world.xhat, prep))
+            assert np.array_equal(world.x, rec.states[k])
+            assert np.array_equal(world.trigger.fired, rec.event_flags[k])
+            assert np.array_equal(world.trigger.delta, rec.delta[k])
+            assert np.array_equal(world.trigger.threshold, rec.threshold[k])
+        assert 0 < rec.event_flags.any(axis=1).sum() < prep.n_steps
 
 
 class TestBankReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_network_80_matches_reference(self, seed):
         prep = prepare_dict(network_80_dict(seed, duration=0.3))
-        assert len(prep.groups) > 2
+        assert len(prep.blocks) > 2
         rec = run(prep)
         ref = run_reference(prep)
         assert ref.sync_mismatches == 0

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import paper_cfg
-from etconsensus import simulator
+from etconsensus import outputs
 from etconsensus.errors import NumericsError
 from etconsensus.simulator import run, write_run_outputs
 
-BLOCK = simulator._WRITE_BLOCK
+BLOCK = outputs._WRITE_BLOCK
 
 
 def _fmt(v) -> str:
