@@ -42,6 +42,7 @@ from .simulator import (
     load_run_record,
     prepare,
     run,
+    run_batch,
     step,
     write_run_outputs,
     zeno_guard_report,
@@ -90,6 +91,7 @@ __all__ = [
     "load_run_record",
     "prepare",
     "run",
+    "run_batch",
     "step",
     "write_run_outputs",
     "zeno_guard_report",

@@ -26,11 +26,12 @@ from .config import (
 from .control import practical_consensus_bound
 from .dynamics import check_cmf, estimate_lipschitz, trig_grid
 from .errors import ConfigError, EtcError, NumericsError
+from .lockstep import batch_key
 from .metrics import MetricReport, compute_metrics, markdown_tables
+from .outputs import RunSink
 from .simulator import (
-    Prepared,
     load_run_record,
-    run,
+    run_batch,
     write_run_outputs,
     zeno_guard_report,
 )
@@ -53,18 +54,24 @@ def _fmt_sig(v) -> str:
     return format(float(v), ".17g")
 
 
-def _run_once(prep: Prepared, out_dir: Path) -> dict:
-    """Run one prepared config, write outputs, return the metric report dict."""
-    cfg = prep.cfg
-    # The Lipschitz grid goes first, so its arrays are freed before the record's exist.
-    lip = estimate_lipschitz(prep.model, trig_grid()) if cfg.ctc == "practical" else None
-    record = run(prep)
+def _open_point(prep, out: Path):
+    """The Lipschitz data (practical runs only) and the file sink of one run."""
+    # The Lipschitz grid goes first, so its arrays are freed before the run's exist.
+    lip = estimate_lipschitz(prep.model, trig_grid()) if prep.cfg.ctc == "practical" else None
+    return lip, RunSink(prep, out)
+
+
+def _close_point(prep, lip, streamed) -> dict:
+    """Write a streamed run's summary.json; return its metric report dict.
+
+    A run that went non-finite gets the summary of its partial outputs.
+    """
     extra = {}
-    if lip is not None:
-        guard = zeno_guard_report(record, prep.params, lip)
+    if lip is not None and streamed.error is None:
+        guard = zeno_guard_report(streamed, prep.params, lip)
         extra["bounds"] = {
             "practical_consensus_bound": practical_consensus_bound(
-                cfg.n_agents, cfg.xi, cfg.q, prep.cert.P
+                prep.cfg.n_agents, prep.cfg.xi, prep.cfg.q, prep.cert.P
             ),
             "lipschitz": {"k": lip.k, "Delta": lip.Delta},
         }
@@ -74,25 +81,20 @@ def _run_once(prep: Prepared, out_dir: Path) -> dict:
             "w_max": list(guard.w_max),
             "satisfied": guard.satisfied,
         }
-    report = compute_metrics(record)
-    write_run_outputs(record, out_dir, extra_summary=extra, report=report)
+    report = compute_metrics(streamed)
+    write_run_outputs(streamed, streamed.out_dir, extra_summary=extra, report=report)
     return report.to_dict()
 
 
-def _flush_partial(exc: NumericsError, out: Path) -> None:
-    if exc.partial_record is not None:
-        write_run_outputs(exc.partial_record, out)
-        print(f"partial record flushed to {out}", file=sys.stderr)
-
-
 def cmd_run(args) -> int:
-    spec = _load_spec(args)
+    prep = _load_spec(args).prepared
     out = Path(args.out)
-    try:
-        report = _run_once(spec.prepared, out)
-    except NumericsError as exc:
-        _flush_partial(exc, out)
-        raise
+    lip, sink = _open_point(prep, out)
+    (streamed,) = run_batch([prep], [sink])
+    report = _close_point(prep, lip, streamed)
+    if streamed.error is not None:
+        print(f"partial record flushed to {out}", file=sys.stderr)
+        raise NumericsError(streamed.error)
     print(
         f"run complete: gamma = {report['gamma']:.6g},"
         f" events = {report['comm_count']},"
@@ -156,17 +158,72 @@ def _sweep_points(grid: dict, limit: int | None) -> list:
     return points
 
 
-def _sweep_worker(item) -> tuple[str, dict | None, tuple[int, str] | None]:
-    """Run one point: (slug, metric report, None), or (slug, None, (exit code, message))."""
-    slug, config_dict, out_dir = item
-    out = Path(out_dir) / slug
-    try:
-        return slug, _run_once(prepare_dict(config_dict), out), None
-    except NumericsError as exc:
-        _flush_partial(exc, out)
-        return slug, None, (3, str(exc))
-    except EtcError as exc:
-        return slug, None, (2, str(exc))
+def _sweep_batch(items) -> list:
+    """Run sweep points: [(slug, metric report, None) or (slug, None, (exit code, message))].
+
+    Every point is prepared on its own, so a bad one fails alone; the points
+    that share a ``batch_key`` then run in lockstep, one batch at a time.
+    """
+    results = []
+    groups: dict = {}
+    for slug, config_dict, out_dir in items:
+        try:
+            prep = prepare_dict(config_dict)
+        except EtcError as exc:
+            results.append((slug, None, (2, str(exc))))
+            continue
+        groups.setdefault(batch_key(prep), []).append((slug, prep, Path(out_dir) / slug))
+    for group in groups.values():
+        results += _sweep_group(group)
+    return results
+
+
+def _sweep_group(group: list) -> list:
+    """Open, run in lockstep and close the points of one batch; their result triples.
+
+    Its sinks live only as long as this call, so one batch's are held at a time.
+    """
+    results = []
+    opened = []
+    for slug, prep, out in group:
+        try:
+            opened.append((slug, prep, *_open_point(prep, out)))
+        except EtcError as exc:
+            results.append((slug, None, (2, str(exc))))
+    if not opened:
+        return results
+    slugs, preps, lips, sinks = zip(*opened)
+    for slug, prep, lip, streamed in zip(slugs, preps, lips, run_batch(preps, sinks)):
+        try:
+            report = _close_point(prep, lip, streamed)
+        except EtcError as exc:
+            results.append((slug, None, (2, str(exc))))
+            continue
+        if streamed.error is None:
+            results.append((slug, report, None))
+        else:
+            results.append((slug, None, (3, streamed.error)))
+    return results
+
+
+def _sub_batches(items: list, jobs: int) -> list:
+    """Split the points into up to ``jobs`` chunks per likely batch.
+
+    Points are grouped by the raw fields ``batch_key`` is made of, before any
+    is validated; ``_sweep_batch`` prepares a chunk's points and groups them
+    exactly. The chunks go to the worker pool, or run one after another at
+    ``--jobs 1``, so that only one chunk's points are held at a time.
+    """
+    fields = ("model", "integrator", "h", "duration", "n_agents", "P")
+    groups: dict = {}
+    for item in items:
+        key = json.dumps([item[1].get(f) for f in fields], sort_keys=True, default=repr)
+        groups.setdefault(key, []).append(item)
+    chunks = []
+    for group in groups.values():
+        size = -(-len(group) // jobs)
+        chunks += [group[i : i + size] for i in range(0, len(group), size)]
+    return chunks
 
 
 def cmd_sweep(args) -> int:
@@ -196,11 +253,12 @@ def cmd_sweep(args) -> int:
         merged.update(overrides)
         items.append((slug, merged, str(out)))
 
+    chunks = _sub_batches(items, max(args.jobs, 1))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_worker, items))
+            results = [r for rs in pool.map(_sweep_batch, chunks) for r in rs]
     else:
-        results = [_sweep_worker(item) for item in items]
+        results = [r for chunk in chunks for r in _sweep_batch(chunk)]
 
     results.sort(key=lambda triple: triple[0])
     done = {slug: report for slug, report, error in results if error is None}

@@ -28,7 +28,6 @@ from .linalg import eigvalsh, spectral_norm
 
 if TYPE_CHECKING:
     from .dynamics import LipschitzData
-    from .simulator import RunRecord
 
 
 @dataclass(frozen=True)
@@ -217,33 +216,30 @@ class ZenoGuardReport:
     satisfied: bool
 
 
-def zeno_guard_report(
-    record: RunRecord, params: TriggerParams, lipschitz: LipschitzData
-) -> ZenoGuardReport:
+def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -> ZenoGuardReport:
     """Check min inter-event time >= tau_i per agent on a practical-CTC record.
 
-    Agents with fewer than two events are vacuously satisfied. tau_i uses the
-    run-measured per-agent w_max and the grid-estimated k and Delta, so a
-    record without its |w| series (one reloaded from files) is refused.
+    ``record`` is a ``RunRecord`` or a closed ``outputs.RunSink``; it gives
+    each agent's largest |w| (``w_max``) and shortest gap between events
+    (``min_inter_event``, inf for agents with fewer than two events, which
+    are vacuously satisfied). tau_i uses the run-measured w_max and the
+    grid-estimated k and Delta, so a record without its |w| series (one
+    reloaded from files) is refused.
     """
     if record.config is None or record.config.ctc != "practical":
         raise UsageError(
             "the Zeno guard applies only to practical-CTC records;"
             " the asymptotic trigger carries no inter-event guarantee"
         )
-    if record.w_norm is None:
+    if record.w_max is None:
         raise UsageError(
             "the Zeno guard needs the run's |w| series, which a reloaded record lacks"
         )
-    n_agents = record.w_norm.shape[1]
     bbtp_norm = spectral_norm(params.B @ params.BtP)
-    gaps = []
+    gaps = record.min_inter_event
     taus = []
-    w_maxes = []
-    ok = True
-    for i in range(n_agents):
-        w_max = float(record.w_norm[:, i].max())
-        w_maxes.append(w_max)
+    w_maxes = [float(v) for v in record.w_max]
+    for i, w_max in enumerate(w_maxes):
         try:
             nu = error_growth_gain(params.kappa, bbtp_norm, w_max, lipschitz.Delta, lipschitz.k)
             tau = tau_lower_bound(
@@ -257,14 +253,9 @@ def zeno_guard_report(
         except Exception:
             tau = math.inf
         taus.append(tau)
-        t_events = record.times[record.event_flags[:, i]]
-        if len(t_events) < 2:
-            gaps.append(math.inf)
-            continue
-        gap = float(np.diff(t_events).min())
-        gaps.append(gap)
-        if gap < tau:
-            ok = False
     return ZenoGuardReport(
-        min_inter_event=tuple(gaps), tau=tuple(taus), w_max=tuple(w_maxes), satisfied=ok
+        min_inter_event=tuple(gaps),
+        tau=tuple(taus),
+        w_max=tuple(w_maxes),
+        satisfied=all(not gap < tau for gap, tau in zip(gaps, taus)),
     )

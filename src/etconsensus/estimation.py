@@ -61,15 +61,22 @@ class EstimatorBank:
             ) from None
 
 
-def propagate_all(y: np.ndarray, field: Field, h: float, scheme: str = "rk4") -> np.ndarray:
-    """Advance y = [x; xhat], (2N, n), by one integrator step of ``field``.
+def propagate_all(
+    y: np.ndarray, field: Field, h: float, scheme: str = "rk4", t: float = 0.0
+) -> np.ndarray:
+    """Advance y = [x; xhat], (2N, n), from time ``t`` by one integrator step of ``field``.
 
-    Raises NumericsError when an estimate row becomes non-finite; the caller
-    checks the true-state rows.
+    Raises NumericsError naming the first estimate that becomes non-finite
+    and the time it does; the caller checks the true-state rows.
     """
     new = step_fn(scheme)(field, y, h)
-    if not np.isfinite(new[y.shape[0] // 2 :]).all():
-        raise NumericsError("an estimator bank became non-finite")
+    n_agents = y.shape[0] // 2
+    if not np.isfinite(new[n_agents:]).all():
+        j = int((~np.isfinite(new[n_agents:]).all(axis=1)).argmax())
+        raise NumericsError(
+            f"estimator state of agent {j} became non-finite at t = {t + h:.6f}:"
+            f" xhat = {new[n_agents + j].tolist()}"
+        )
     return new
 
 

@@ -54,18 +54,101 @@ def block_rows(n_agents: int) -> int:
     return max(1, _NORM_BLOCK * 5 // n_agents)
 
 
-def compute_metrics(record, chi: float = 0.1) -> MetricReport:
-    """Gamma and its components for one record, at communication weight chi."""
-    states = record.states
+def r_norms(states: np.ndarray) -> np.ndarray:
+    """|r_i(k)|, every agent's distance from the leader at every sample, (samples, N).
+
+    Samples are taken in blocks of ``block_rows`` rows, so the temporaries
+    stay small; every sample is computed on its own, so neither the blocking
+    nor a caller that passes a few samples at a time changes the bits.
+    """
     n_samples, n_agents, _ = states.shape
-    r_norms = np.empty((n_samples, n_agents))
+    out = np.empty((n_samples, n_agents))
     rows = block_rows(n_agents)
     for start in range(0, n_samples, rows):
         block = states[start : start + rows]
         r = block - block[:, :1, :]
-        r_norms[start : start + rows] = np.sqrt((r * r).sum(axis=2))
-    consensus_sum = float(r_norms.sum() / n_agents)
-    counts = record.event_flags.sum(axis=0)
+        out[start : start + rows] = np.sqrt((r * r).sum(axis=2))
+    return out
+
+
+class PairwiseSum:
+    """numpy's sum of n doubles, taken as they arrive, without holding them.
+
+    ``np.add.reduce`` sums a contiguous run of n doubles pairwise: it halves
+    the run (the first half rounded down to a multiple of 8 values) until
+    the pieces hold at most 128, and numpy sums those leaves itself. This
+    walks the same tree left to right and keeps only the values of the
+    unfinished leaf and one partial sum per level, so ``total`` is the same
+    double as the sum of all n values in one array.
+    """
+
+    def __init__(self, n: int):
+        self.stack: list = []  # per open level: [left sum, None until known; right length]
+        self.pending = np.empty(0)
+        self.need = self._descend(n)
+        self.total = None
+
+    def _descend(self, n: int) -> int:
+        while n > 128:
+            half = n // 2
+            half -= half % 8
+            self.stack.append([None, n - half])
+            n = half
+        return n
+
+    def add(self, values: np.ndarray) -> None:
+        """Take the next values, in order."""
+        buf = np.concatenate((self.pending, values.ravel()))
+        start = 0
+        while self.total is None and len(buf) - start >= self.need:
+            s = np.add.reduce(buf[start : start + self.need])
+            start += self.need
+            while self.stack and self.stack[-1][0] is not None:
+                s = self.stack.pop()[0] + s
+            if self.stack:
+                self.stack[-1][0] = s
+                self.need = self._descend(self.stack[-1][1])
+            else:
+                self.total = s
+        self.pending = buf[start:].copy()
+
+
+def v_series(states: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """V(k) = sum over followers of r_i' P r_i, in blocks like ``r_norms``."""
+    n_samples, n_agents, _ = states.shape
+    if out is None:
+        out = np.empty(n_samples)
+    rows = block_rows(n_agents)
+    for start in range(0, n_samples, rows):
+        block = states[start : start + rows]
+        rf = (block - block[:, :1, :])[:, 1:, :]
+        out[start : start + rows] = np.einsum("kin,nm,kim->k", rf, P, rf)
+    return out
+
+
+def dist_series(states: np.ndarray) -> np.ndarray:
+    """The squared spread of the states about their mean at every sample."""
+    n_samples, n_agents, _ = states.shape
+    out = np.empty(n_samples)
+    rows = block_rows(n_agents)
+    for start in range(0, n_samples, rows):
+        block = states[start : start + rows]
+        centered = block - block.mean(axis=1, keepdims=True)
+        centered *= centered
+        out[start : start + rows] = centered.sum(axis=(1, 2))
+    return out
+
+
+def compute_metrics(record, chi: float = 0.1) -> MetricReport:
+    """Gamma and its components for one record, at communication weight chi.
+
+    ``record`` is a ``RunRecord`` or a closed ``outputs.RunSink``: both give
+    ``r_norm_sum`` (the pairwise sum of ``r_norms`` over the whole run),
+    ``per_agent_event_counts``, ``agent_degrees``, ``v_series`` and ``times``.
+    """
+    counts = record.per_agent_event_counts
+    n_agents = len(counts)
+    consensus_sum = record.r_norm_sum / n_agents
     comm_count = int(counts.sum())
     gamma = consensus_sum + chi * comm_count / n_agents
     if record.agent_degrees is None:

@@ -22,6 +22,11 @@ disagreement of its estimates as they stand after the step's broadcasts, so
 the next step's control term reads it instead of recomputing it, and when no
 agent fired the trigger's own w is that disagreement already.
 
+``run_batch`` steps several prepared runs in lockstep, as one run over the
+disjoint union of their graphs: every row's arithmetic is the one its run
+does alone, so each member is bit-for-bit its solo run, and a solo ``run`` is
+the batch of one.
+
 Runs are bit-for-bit reproducible for a fixed numpy/BLAS build: no
 randomness, no wall-clock dependence in the dynamics, and a deterministic
 Jacobi eigensolver instead of LAPACK.
@@ -31,13 +36,11 @@ bitwise identical to a leader integrated alone.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import os
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,9 +58,20 @@ from .errors import ConfigError, NumericsError
 from .estimation import EstimatorBank, apply_broadcast, propagate_all
 from .graph import Graph, Laplacian, build_laplacian
 from .integrate import INTEGRATORS
-from .outputs import write_run_outputs  # part of this module's API
+from .lockstep import Lockstep, closed_neighbourhoods, layout, lockstep
+from .outputs import (  # records and their files are part of this module's API
+    RunRecord,
+    check_fits,
+    degrees,
+    derived_constants,
+    load_run_record,
+    write_run_outputs,
+)
 
 CTC_VARIANTS = ("asymptotic", "practical")
+
+# Steps whose rows are buffered before each member's sink takes them.
+_STEP_BLOCK = 64
 
 
 @dataclass
@@ -133,9 +147,9 @@ class SimConfig:
         return {k: plain(getattr(self, k)) for k in keys}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prepared:
-    """Validated, fully derived run inputs.
+    """Validated, fully derived run inputs: also what the step loop reads.
 
     The disagreement layout takes the agents in group order: by closed
     neighbourhood size k, then by id. ``flat_idx`` joins their closed
@@ -147,8 +161,15 @@ class Prepared:
     entries as (g, 1, k). ``inv`` maps each agent to its place in group order.
     ``theta_rows`` (2N, p) is the parameter of each row of the stacked state
     [x; xhat]: theta_true for the true states, theta_hat for the estimates.
-    ``Q`` is P B B' P, the matrix behind every trigger quadratic form.
+    ``Q`` is P B B' P, the matrix behind every trigger quadratic form;
+    ``BtPt`` and ``Bt`` are (B'P)' and B'. The trigger coefficients:
+    ``s_coeff`` and ``sig_theta`` = sigma theta_coeff per agent, and the
+    scalars ``two_kappa`` = 2 kappa, ``neg_kappa`` = -kappa and ``xi``. A
+    prepared run is a lockstep of one: one leader row, and ``member_rows``
+    holds its rows in agent order (see ``lockstep.Lockstep``).
     """
+
+    leaders = 1  # rows before the first follower
 
     cfg: SimConfig
     model: SystemModel
@@ -163,7 +184,18 @@ class Prepared:
     inv: np.ndarray
     theta_rows: np.ndarray
     Q: np.ndarray
+    BtPt: np.ndarray
+    Bt: np.ndarray
+    neg_kappa: float
+    two_kappa: float
+    s_coeff: np.ndarray
+    sig_theta: np.ndarray
+    xi: float
+    f: Callable
+    h: float
+    integrator: str
     n_steps: int
+    member_rows: tuple
 
 
 def _is_int(v) -> bool:
@@ -213,26 +245,6 @@ def _check_field_types(cfg: SimConfig) -> None:
             )
 
 
-def _check_record_fits(n_steps: int, n_agents: int, n: int, dump_estimates: bool) -> None:
-    """Refuse a run whose record would not fit in this machine's memory.
-
-    The record holds, per sample, the time, the states, four trigger series,
-    the event flags and, when dumped, the estimates.
-    """
-    row_bytes = 8 + n_agents * (8 * n * (2 if dump_estimates else 1) + 4 * 8 + 1)
-    need = (n_steps + 1) * row_bytes
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    if need > have:
-        raise ConfigError(
-            f"duration/h = {n_steps} steps need a {need / 2**30:.3g} GiB record, more"
-            f" than this machine's {have / 2**30:.3g} GiB of memory; shorten duration"
-            " or raise h"
-        )
-
-
 def prepare(cfg: SimConfig) -> Prepared:
     """Validate a config and derive every object a run needs.
 
@@ -262,8 +274,6 @@ def prepare(cfg: SimConfig) -> Prepared:
         raise ConfigError(f"xi must be 0 when ctc is asymptotic, got {cfg.xi!r}")
 
     model = make_model(cfg.model, cfg.theta, cfg.theta_hat)
-    n_steps = int(round(steps))
-    _check_record_fits(n_steps, cfg.n_agents, model.state_dim, cfg.dump_estimates)
     graph = Graph.from_edges(cfg.n_agents, cfg.edges)
     lap = build_laplacian(graph, cfg.epsilon)
 
@@ -290,26 +300,7 @@ def prepare(cfg: SimConfig) -> Prepared:
         b=cfg.b,
         xi=cfg.xi,
     )
-
-    # The nonzero entries of Laplacian row i are exactly {i} union neighbours(i).
-    members = [sorted({i, *graph.neighbours(i).tolist()}) for i in range(cfg.n_agents)]
-    order = sorted(range(cfg.n_agents), key=lambda i: len(members[i]))
-    blocks = []
-    start = first = 0
-    for k in sorted({len(m) for m in members}):
-        rows = [i for i in order if len(members[i]) == k]
-        g = len(rows)
-        coeffs = lap.L[np.array(rows)[:, None], np.array([members[i] for i in rows])]
-        blocks.append((
-            slice(start, start + g * k),
-            slice(first, first + g),
-            (g, k, model.state_dim),
-            coeffs[:, None, :],
-        ))
-        start += g * k
-        first += g
-    inv = np.empty(cfg.n_agents, dtype=np.intp)
-    inv[order] = np.arange(cfg.n_agents)
+    members = closed_neighbourhoods(graph)
     return Prepared(
         cfg=cfg,
         model=model,
@@ -318,13 +309,21 @@ def prepare(cfg: SimConfig) -> Prepared:
         params=params,
         cert=cert,
         x0=x0,
-        flat_idx=np.array([j for i in order for j in members[i]], dtype=np.intp),
-        flat_own=np.repeat(order, [len(members[i]) for i in order]),
-        blocks=tuple(blocks),
-        inv=inv,
+        **layout(members, [lap.L[i, m] for i, m in enumerate(members)], model.state_dim),
         theta_rows=np.repeat(np.stack((model.theta_true, model.theta_hat)), cfg.n_agents, axis=0),
         Q=params.P @ params.B @ params.B.T @ params.P,
-        n_steps=n_steps,
+        BtPt=params.BtP.T,
+        Bt=model.B.T,
+        neg_kappa=-params.kappa,
+        two_kappa=2.0 * params.kappa,
+        s_coeff=params.s_coeff,
+        sig_theta=params.sigma * params.theta_coeff,
+        xi=params.xi,
+        f=model.f,
+        h=cfg.h,
+        integrator=cfg.integrator,
+        n_steps=int(round(steps)),
+        member_rows=(np.arange(cfg.n_agents),),
     )
 
 
@@ -332,39 +331,39 @@ def prepare(cfg: SimConfig) -> Prepared:
 class WorldState:
     """Instantaneous simulation state: time, true states, estimates, trigger data.
 
-    ``x`` and ``xhat`` are (N, n); ``xhat[j]`` is the estimate of agent j held
-    by j and by each of its neighbours. ``w`` (N, n) is the disagreement of
-    ``xhat`` as it stands, after this step's broadcasts: it is always bitwise
-    equal to ``_disagreement(xhat, prep)``, and the next step's control term
-    reads it. ``trigger`` is this step's evaluation, made before the
-    broadcasts.
+    ``x`` and ``xhat`` are (R, n), one row per agent of the run or union;
+    ``xhat[j]`` is the estimate of agent j held by j and by each of its
+    neighbours. ``w`` (R, n) is the disagreement of ``xhat`` as it stands,
+    after this step's broadcasts: it is always bitwise equal to
+    ``_disagreement(xhat, core)``, and the next step's control term reads
+    it. ``trigger`` is this step's evaluation, made before the broadcasts.
     """
 
     t: float
     x: np.ndarray
     xhat: np.ndarray
     w: np.ndarray
-    trigger: TriggerState
+    trigger: TriggerState | None
 
 
-def initial_world(prep: Prepared) -> WorldState:
-    n_agents, n = prep.x0.shape
-    xhat = prep.x0.copy()
+def initial_world(core: Prepared | Lockstep) -> WorldState:
+    n_rows, n = core.x0.shape
+    xhat = core.x0.copy()
     return WorldState(
         t=0.0,
-        x=prep.x0.copy(),
+        x=core.x0.copy(),
         xhat=xhat,
-        w=_disagreement(xhat, prep),
-        trigger=TriggerState.initial(n_agents, n),
+        w=_disagreement(xhat, core),
+        trigger=TriggerState.initial(n_rows, n),
     )
 
 
-def step(world: WorldState, prep: Prepared) -> WorldState:
-    """Advance one step of the prepared run."""
-    return _step(world, prep)
+def step(world: WorldState, core: Prepared | Lockstep) -> WorldState:
+    """Advance one step of the prepared run (or lockstep union)."""
+    return _step(world, core)
 
 
-def _disagreement(xhat: np.ndarray, prep: Prepared) -> np.ndarray:
+def _disagreement(xhat: np.ndarray, core: Prepared | Lockstep) -> np.ndarray:
     """w_i = sum_j l_ij (xhat_j - xhat_i) over i's closed neighbourhood, for every i.
 
     One gather forms every difference, then one batched product per
@@ -372,137 +371,77 @@ def _disagreement(xhat: np.ndarray, prep: Prepared) -> np.ndarray:
     ``coeffs_i @ (xhat[members_i] - xhat_i)`` per agent, so the bits agree
     with it; a dense ``L @ xhat`` or one zero-padded stack does not.
     """
-    d = xhat[prep.flat_idx] - xhat[prep.flat_own]
-    w = np.empty((len(prep.inv), 1, xhat.shape[1]))
-    for diffs, rows, shape, coeffs in prep.blocks:
+    d = xhat[core.flat_idx] - xhat[core.flat_own]
+    w = np.empty((len(core.inv), 1, xhat.shape[1]))
+    for diffs, rows, shape, coeffs in core.blocks:
         np.matmul(coeffs, d[diffs].reshape(shape), out=w[rows])
-    return w[prep.inv, 0]
+    return w[core.inv, 0]
 
 
 def _evaluate(
-    x: np.ndarray, xhat: np.ndarray, prep: Prepared, w: np.ndarray | None = None
+    x: np.ndarray, xhat: np.ndarray, core: Prepared | Lockstep, w: np.ndarray | None = None
 ) -> TriggerState:
     """Both trigger quantities and the firing test, for every agent at once.
 
     ``w`` is the disagreement of ``xhat`` when the caller already has it.
     The quadratic forms use S_i = s_i Q, Theta_i = c_i Q, R_i = 2 kappa Q with
-    Q = P B B' P, so one (N, n) sweep covers every agent.
+    Q = P B B' P, so one (R, n) sweep covers every agent.
     """
-    params = prep.params
     e = x - xhat
     if w is None:
-        w = _disagreement(xhat, prep)
-    wQ = w @ prep.Q
-    eQ = e @ prep.Q
+        w = _disagreement(xhat, core)
+    wQ = w @ core.Q
+    eQ = e @ core.Q
     add = np.add.reduce
-    delta = params.s_coeff * add(eQ * e, axis=1) + np.abs(
-        2.0 * params.kappa * add(wQ * e, axis=1)
-    )
-    threshold = params.sigma * params.theta_coeff * add(wQ * w, axis=1)
-    fired = delta - threshold - params.xi > 0.0
+    delta = core.s_coeff * add(eQ * e, axis=1) + np.abs(core.two_kappa * add(wQ * e, axis=1))
+    threshold = core.sig_theta * add(wQ * w, axis=1)
+    fired = delta - threshold - core.xi > 0.0
     return TriggerState(e=e, w=w, delta=delta, threshold=threshold, fired=fired)
 
 
-def _step(world: WorldState, prep: Prepared) -> WorldState:
-    cfg = prep.cfg
-    model = prep.model
-    n_agents = prep.graph.n_agents
-    params = prep.params
+def _advance(world: WorldState, core: Prepared | Lockstep) -> np.ndarray:
+    """The stacked [x; xhat] one step on; NumericsError if a row becomes non-finite.
 
-    # Zero-order hold: inputs from the estimates at time t, constant over the
-    # step. The disagreement form equals the control law up to rounding order
-    # and vanishes exactly when the estimates agree, so a consensus state
-    # cannot be perturbed by summation residue. Only follower plant rows get
-    # it: adding a zero row elsewhere would turn -0.0 into +0.0.
-    bu = (-params.kappa * (world.w[1:] @ params.BtP.T)) @ model.B.T
-    f = model.f
-    theta_rows = prep.theta_rows
+    Zero-order hold: inputs from the estimates at time t, constant over the
+    step. The disagreement form equals the control law up to rounding order
+    and vanishes exactly when the estimates agree, so a consensus state
+    cannot be perturbed by summation residue. Only follower plant rows get
+    it: adding a zero row elsewhere would turn -0.0 into +0.0.
+    """
+    n_rows = len(world.x)
+    lead = core.leaders
+    bu = (core.neg_kappa * (world.w[lead:] @ core.BtPt)) @ core.Bt
+    f = core.f
+    theta_rows = core.theta_rows
 
     def vector_field(y: np.ndarray) -> np.ndarray:
         out = f(y, theta_rows)
-        out[1:n_agents] += bu
+        out[lead:n_rows] += bu
         return out
 
-    y = propagate_all(np.concatenate((world.x, world.xhat)), vector_field, cfg.h, cfg.integrator)
-    x_new, xhat_new = y[:n_agents], y[n_agents:]
-    t_new = world.t + cfg.h
-    if not np.isfinite(x_new).all():
+    y = propagate_all(
+        np.concatenate((world.x, world.xhat)), vector_field, core.h, core.integrator, world.t
+    )
+    if not np.isfinite(y[:n_rows]).all():
         raise NumericsError(
-            f"non-finite true state at t = {t_new:.6f}: x = {x_new.tolist()}"
+            f"non-finite true state at t = {world.t + core.h:.6f}: x = {y[:n_rows].tolist()}"
         )
+    return y
 
+
+def _step(world: WorldState, core: Prepared | Lockstep) -> WorldState:
+    y = _advance(world, core)
+    n_rows = len(world.x)
+    x_new, xhat_new = y[:n_rows], y[n_rows:]
     # Evaluate every agent on post-integration, pre-reset values, then
     # broadcast all firing agents as one batch. Without a broadcast the
     # estimates stand as evaluated, and so does their disagreement.
-    trigger = _evaluate(x_new, xhat_new, prep)
+    trigger = _evaluate(x_new, xhat_new, core)
     fired = trigger.fired.nonzero()[0].tolist()
     for i in fired:
         apply_broadcast(xhat_new, i, x_new[i])
-    w = _disagreement(xhat_new, prep) if fired else trigger.w
-    return WorldState(t=t_new, x=x_new, xhat=xhat_new, w=w, trigger=trigger)
-
-
-@dataclass
-class RunRecord:
-    """Complete time series and event log of one run.
-
-    ``event_flags`` (samples, N) is the event log: True where an agent
-    broadcast at that instant. ``delta``, ``threshold``, ``w_norm``, ``e_norm``
-    hold the trigger quantities as evaluated at each instant's CTC check
-    (pre-reset); a record reloaded from files has none of them (None).
-    Derived on access: ``events``, the (t, agent) pairs in time then agent
-    order; ``per_agent_event_counts``; ``e_norm_post``, the estimation error
-    after the batch of resets, exactly zero wherever an event fired; and
-    ``r_series``, each agent's offset from the leader.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    event_flags: np.ndarray
-    v_series: np.ndarray
-    dist_series: np.ndarray
-    delta: np.ndarray | None
-    threshold: np.ndarray | None
-    w_norm: np.ndarray | None
-    e_norm: np.ndarray | None
-    config: SimConfig | None = None
-    est_series: np.ndarray | None = None
-    agent_degrees: np.ndarray | None = None
-    derived: dict = field(default_factory=dict)
-    sync_mismatches: int = 0
-    runtime_seconds: float = 0.0
-    error: str | None = None
-
-    @property
-    def events(self) -> list:
-        ks, agents = np.nonzero(self.event_flags)
-        return list(zip(self.times[ks].tolist(), agents.tolist()))
-
-    @property
-    def per_agent_event_counts(self) -> np.ndarray:
-        return self.event_flags.sum(axis=0).astype(int)
-
-    @property
-    def e_norm_post(self) -> np.ndarray | None:
-        if self.e_norm is None:
-            return None
-        return np.where(self.event_flags, 0.0, self.e_norm)
-
-    @property
-    def r_series(self) -> np.ndarray:
-        return self.states - self.states[:, :1, :]
-
-    @property
-    def v_initial(self) -> float:
-        return float(self.v_series[0])
-
-    @property
-    def v_final(self) -> float:
-        return float(self.v_series[-1])
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
+    w = _disagreement(xhat_new, core) if fired else trigger.w
+    return WorldState(t=world.t + core.h, x=x_new, xhat=xhat_new, w=w, trigger=trigger)
 
 
 # The benchmark's tracing wraps this by name; the bank-form test reference calls it.
@@ -521,27 +460,6 @@ def _banks_synchronized(banks: list[EstimatorBank], groups: tuple) -> bool:
     return True
 
 
-def _v_and_dist(states: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V(k) = sum over followers of r_i' P r_i, and the squared spread about the mean.
-
-    Samples are taken in blocks of ``metrics.block_rows`` rows, so the
-    temporaries stay small however long or wide the record is; every sample
-    is computed on its own, so the blocking does not change the bits.
-    """
-    n_samples, n_agents, _ = states.shape
-    v_series = np.empty(n_samples)
-    dist_series = np.empty(n_samples)
-    rows = metrics_mod.block_rows(n_agents)
-    for start in range(0, n_samples, rows):
-        block = states[start : start + rows]
-        rf = (block - block[:, :1, :])[:, 1:, :]
-        v_series[start : start + rows] = np.einsum("kin,nm,kim->k", rf, P, rf)
-        centered = block - block.mean(axis=1, keepdims=True)
-        centered *= centered
-        dist_series[start : start + rows] = centered.sum(axis=(1, 2))
-    return v_series, dist_series
-
-
 def _assemble_record(
     prep: Prepared,
     times,
@@ -556,39 +474,193 @@ def _assemble_record(
     error=None,
 ) -> RunRecord:
     states = np.asarray(states)
-    v_series, dist_series = _v_and_dist(states, prep.cert.P)
-    derived = {
-        "mu": prep.lap.mu,
-        "lambda_max": prep.lap.lambda_max,
-        "epsilon": prep.lap.epsilon,
-        "M": prep.lap.M.tolist(),
-        "l_diag": np.diag(prep.lap.L).tolist(),
-        "kappa": prep.params.kappa,
-        "s_coeff": prep.params.s_coeff.tolist(),
-        "theta_coeff": prep.params.theta_coeff.tolist(),
-        "R": [m.tolist() for m in prep.params.R],
-        "Theta": [m.tolist() for m in prep.params.Theta],
-        "S": [m.tolist() for m in prep.params.S],
-        "sigma": prep.params.sigma.tolist(),
-        "b": prep.params.b.tolist(),
-    }
     return RunRecord(
         times=np.asarray(times),
         states=states,
         event_flags=np.asarray(flags),
-        v_series=v_series,
-        dist_series=dist_series,
+        v_series=metrics_mod.v_series(states, prep.cert.P),
+        dist_series=metrics_mod.dist_series(states),
         delta=np.asarray(delta),
         threshold=np.asarray(threshold),
         w_norm=np.asarray(w_norm),
         e_norm=np.asarray(e_norm),
         config=prep.cfg,
         est_series=None if est_series is None else np.asarray(est_series),
-        agent_degrees=(prep.graph.adjacency > 0).sum(axis=1).astype(int),
-        derived=derived,
+        agent_degrees=degrees(prep.graph),
+        derived=derived_constants(prep),
         runtime_seconds=runtime,
         error=error,
     )
+
+
+_SERIES = ("delta", "threshold", "w_norm", "e_norm")
+
+
+class _Collect:
+    """Sink that keeps every row of one run, for its RunRecord."""
+
+    series = _SERIES
+
+    def __init__(self, prep: Prepared):
+        n_agents, n = prep.x0.shape
+        copies = 2 if prep.cfg.dump_estimates else 1
+        check_fits(prep.n_steps, 8 + n_agents * (8 * n * copies + 8 * len(_SERIES) + 1))
+        rows = prep.n_steps + 1
+        self.prep = prep
+        self.n = 0
+        self.arrays = {
+            "times": np.empty(rows),
+            "states": np.empty((rows, n_agents, n)),
+            "flags": np.zeros((rows, n_agents), dtype=bool),
+            **{name: np.empty((rows, n_agents)) for name in _SERIES},
+        }
+        if prep.cfg.dump_estimates:
+            self.arrays["est"] = np.empty((rows, n_agents, n))
+
+    def put(self, rows: dict) -> None:
+        span = slice(self.n, self.n + len(rows["times"]))
+        for name, a in self.arrays.items():
+            a[span] = rows[name]
+        self.n = span.stop
+
+    def close(self, runtime: float, error: str | None = None) -> RunRecord:
+        a = {name: v[: self.n] for name, v in self.arrays.items()}
+        return _assemble_record(
+            self.prep, a["times"], a["states"], a["flags"], *(a[s] for s in _SERIES),
+            a.get("est"), runtime, error,
+        )
+
+
+class _Buffer:
+    """The last steps' rows of every member, handed to their sinks a block at a time.
+
+    Each sink gets its member's columns of every buffered series, C-contiguous
+    (``np.take``; a fancy index on the agent axis would come back agent-axis
+    major), with the sample times ``k * h``.
+    """
+
+    def __init__(self, core: Prepared | Lockstep, names: tuple, k0: int, sinks: list):
+        n_rows, n = core.x0.shape
+        self.arrays = {
+            name: np.zeros(
+                (_STEP_BLOCK, n_rows, n) if name in ("states", "est") else (_STEP_BLOCK, n_rows),
+                dtype=bool if name == "flags" else float,
+            )
+            for name in names
+        }
+        get = self.arrays.get
+        self.states, self.flags, self.est = get("states"), get("flags"), get("est")
+        self.delta, self.threshold, self.w_norm, self.e_norm = (get(s) for s in _SERIES)
+        self.h = core.h
+        self.members = tuple(zip(sinks, core.member_rows))
+        self.k0 = k0
+        self.j = 0
+
+    def keep(self, world: WorldState, tr: TriggerState, fired: bool = True) -> None:
+        j = self.j
+        if j == _STEP_BLOCK:
+            self.flush()
+            j = 0
+        self.states[j] = world.x
+        self.flags[j] = tr.fired if fired else False
+        if self.delta is not None:
+            self.delta[j] = tr.delta
+        if self.threshold is not None:
+            self.threshold[j] = tr.threshold
+        if self.w_norm is not None:
+            np.sqrt(np.add.reduce(tr.w * tr.w, axis=1), out=self.w_norm[j])
+        if self.e_norm is not None:
+            np.sqrt(np.add.reduce(tr.e * tr.e, axis=1), out=self.e_norm[j])
+        if self.est is not None:
+            self.est[j] = world.xhat
+        self.j = j + 1
+
+    def flush(self) -> None:
+        j = self.j
+        times = np.arange(self.k0, self.k0 + j) * self.h
+        for sink, rows in self.members:
+            sink.put({"times": times,
+                      **{name: np.take(a[:j], rows, axis=1) for name, a in self.arrays.items()}})
+        self.k0 += j
+        self.j = 0
+
+
+def _failures(exc: NumericsError, world: WorldState, core, preps: list) -> dict:
+    """The members that go non-finite on this step, each with the error its solo run raises.
+
+    Each member's rows are stepped alone, which is bitwise what its solo run
+    does at this step, so the message is its solo run's own.
+    """
+    if len(preps) == 1:
+        return {0: str(exc)}
+    failed = {}
+    for b, (prep, rows) in enumerate(zip(preps, core.member_rows)):
+        alone = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
+        try:
+            _advance(alone, prep)
+        except NumericsError as member_exc:
+            failed[b] = str(member_exc)
+    if not failed:
+        raise exc
+    return failed
+
+
+def run_batch(preps, sinks=None) -> list:
+    """Step prepared runs in lockstep, as one run over the disjoint union of their graphs.
+
+    The runs must agree on ``batch_key`` (model, integrator, h, step count,
+    N and P); edges, x0, parameters and gains may differ. Every member is
+    bit for bit its solo ``run``. Each member's rows go to its sink a block
+    of steps at a time: ``sink.put(rows)`` gets a dict of its samples
+    (``times``, ``states``, ``flags``, the trigger series any sink names in
+    its ``series``, and ``est`` when any member dumps estimates), and
+    ``sink.close(runtime, error)`` gives the member's result. Without sinks
+    every member is collected into a ``RunRecord``. A member that becomes
+    non-finite is closed after its last finite row with the error its solo
+    run raises, and leaves the batch; the others carry on. Returns the
+    results in member order; ``runtime`` is the batch's loop time up to the
+    member's close.
+    """
+    preps = list(preps)
+    sinks = [_Collect(p) for p in preps] if sinks is None else list(sinks)
+    names = ("states", "flags") + tuple(s for s in _SERIES if any(s in k.series for k in sinks))
+    if any(p.cfg.dump_estimates for p in preps):
+        names += ("est",)
+    results = [None] * len(preps)
+    alive = list(range(len(preps)))
+    core = lockstep(preps)
+    world = initial_world(core)
+    buf = _Buffer(core, names, 0, sinks)
+    # Row 0: every estimate starts at x0, so e = 0 and delta = 0; no event.
+    buf.keep(world, _evaluate(world.x, world.xhat, core, world.w), fired=False)
+    start = time.perf_counter()
+    k = 1
+    while k <= core.n_steps:
+        try:
+            world = _step(world, core)
+        except NumericsError as exc:
+            buf.flush()
+            failed = _failures(exc, world, core, [preps[b] for b in alive])
+            runtime = time.perf_counter() - start
+            for pos, message in failed.items():
+                results[alive[pos]] = sinks[alive[pos]].close(runtime, message)
+            kept = [pos for pos in range(len(alive)) if pos not in failed]
+            if not kept:
+                return results
+            rows = np.concatenate([core.member_rows[pos][:1] for pos in kept]
+                                  + [core.member_rows[pos][1:] for pos in kept])
+            world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
+            alive = [alive[pos] for pos in kept]
+            core = lockstep([preps[b] for b in alive])
+            buf = _Buffer(core, names, buf.k0, [sinks[b] for b in alive])
+            continue
+        buf.keep(world, world.trigger)
+        k += 1
+    buf.flush()
+    runtime = time.perf_counter() - start
+    for b in alive:
+        results[b] = sinks[b].close(runtime)
+    return results
 
 
 def run(spec: Prepared | SimConfig) -> RunRecord:
@@ -600,107 +672,7 @@ def run(spec: Prepared | SimConfig) -> RunRecord:
     (every completed step) as ``partial_record``.
     """
     prep = spec if isinstance(spec, Prepared) else prepare(spec)
-    cfg = prep.cfg
-    n_agents = prep.graph.n_agents
-    n = prep.model.state_dim
-    rows = prep.n_steps + 1
-
-    times = np.empty(rows)
-    states = np.empty((rows, n_agents, n))
-    flags = np.zeros((rows, n_agents), dtype=bool)
-    delta, threshold, w_norm, e_norm = (np.empty((rows, n_agents)) for _ in range(4))
-    est_series = np.empty((rows, n_agents, n)) if cfg.dump_estimates else None
-    series = (times, states, flags, delta, threshold, w_norm, e_norm, est_series)
-
-    def keep(k: int, world: WorldState, tr: TriggerState) -> None:
-        times[k] = k * cfg.h
-        states[k] = world.x
-        delta[k] = tr.delta
-        threshold[k] = tr.threshold
-        np.sqrt(np.add.reduce(tr.w * tr.w, axis=1), out=w_norm[k])
-        np.sqrt(np.add.reduce(tr.e * tr.e, axis=1), out=e_norm[k])
-        if est_series is not None:
-            est_series[k] = world.xhat
-
-    # Row 0: every estimate starts at x0, so e = 0 and delta = 0; no event.
-    world = initial_world(prep)
-    keep(0, world, _evaluate(world.x, world.xhat, prep, world.w))
-    start = time.perf_counter()
-    for k in range(1, rows):
-        try:
-            world = _step(world, prep)
-        except NumericsError as exc:
-            exc.partial_record = _assemble_record(
-                prep,
-                *(None if s is None else s[:k] for s in series),
-                time.perf_counter() - start,
-                error=str(exc),
-            )
-            raise
-        keep(k, world, world.trigger)
-        flags[k] = world.trigger.fired
-    return _assemble_record(prep, *series, time.perf_counter() - start)
-
-
-# --- file outputs ------------------------------------------------------------
-
-
-def load_run_record(run_dir) -> RunRecord:
-    """Rebuild a metrics-grade record from states.csv, events.csv, summary.json.
-
-    The trigger series are not written, so the record has none (None).
-    """
-    run_dir = Path(run_dir)
-    states_path = run_dir / "states.csv"
-    if not states_path.exists():
-        raise ConfigError(f"{states_path} not found; not a run output directory")
-    raw = np.genfromtxt(states_path, delimiter=",", names=True)
-    names = list(raw.dtype.names)
-    times = np.asarray(raw["t"], dtype=float).reshape(-1)
-    state_cols = [c for c in names if c.startswith("x") and not c.startswith("xhat")]
-    agents = sorted({int(c[1:].split("_")[0]) for c in state_cols})
-    dims = sorted({int(c.split("_")[1]) for c in state_cols})
-    n_agents, n = len(agents), len(dims)
-    states = np.empty((times.size, n_agents, n))
-    for i in agents:
-        for d in dims:
-            states[:, i - 1, d - 1] = np.asarray(raw[f"x{i}_{d}"], dtype=float).reshape(-1)
-
-    flags = np.zeros((times.size, n_agents), dtype=bool)
-    h = times[1] - times[0] if times.size > 1 else 1.0
-    ev_path = run_dir / "events.csv"
-    if ev_path.exists():
-        for line in ev_path.read_text().splitlines()[1:]:
-            if not line.strip():
-                continue
-            t_str, agent_str = line.split(",")
-            flags[int(round(float(t_str) / h)), int(agent_str) - 1] = True
-
-    summary_path = run_dir / "summary.json"
-    cfg = None
-    P = None
-    degrees = None
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text())
-        if summary.get("config"):
-            cfg = SimConfig(**summary["config"])
-            P = np.asarray(cfg.P, dtype=float)
-            adj = Graph.from_edges(cfg.n_agents, cfg.edges).adjacency
-            degrees = (adj > 0).sum(axis=1).astype(int)
-    if P is None:
-        P = np.eye(n)
-
-    v_series, dist_series = _v_and_dist(states, P)
-    return RunRecord(
-        times=times,
-        states=states,
-        event_flags=flags,
-        v_series=v_series,
-        dist_series=dist_series,
-        delta=None,
-        threshold=None,
-        w_norm=None,
-        e_norm=None,
-        config=cfg,
-        agent_degrees=degrees,
-    )
+    (record,) = run_batch([prep])
+    if record.error is not None:
+        raise NumericsError(record.error, partial_record=record)
+    return record
