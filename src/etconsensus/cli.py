@@ -26,9 +26,9 @@ from .config import (
 from .control import practical_consensus_bound
 from .dynamics import check_cmf, estimate_lipschitz, trig_grid
 from .errors import ConfigError, EtcError, NumericsError
-from .lockstep import batch_key
+from .lockstep import SHARED_FIELDS, batch_key
 from .metrics import MetricReport, compute_metrics, markdown_tables
-from .outputs import RunSink
+from .outputs import RunSink, check_fits
 from .simulator import (
     load_run_record,
     run_batch,
@@ -39,8 +39,8 @@ from .simulator import (
 _SWEEP_LIMIT = 10_000
 
 
-def _load_spec(args):
-    """The run named by --preset or --config, with --integrator merged in."""
+def _load_run(args):
+    """The prepared run named by --preset or --config, with --integrator merged in."""
     if bool(args.preset) == bool(args.config):
         raise ConfigError("provide exactly one of --preset or --config")
     integrator = getattr(args, "integrator", None)
@@ -54,11 +54,18 @@ def _fmt_sig(v) -> str:
     return format(float(v), ".17g")
 
 
-def _open_point(prep, out: Path):
-    """The Lipschitz data (practical runs only) and the file sink of one run."""
-    # The Lipschitz grid goes first, so its arrays are freed before the run's exist.
-    lip = estimate_lipschitz(prep.model, trig_grid()) if prep.cfg.ctc == "practical" else None
-    return lip, RunSink(prep, out)
+def _lipschitz(prep, known: dict):
+    """A practical run's Lipschitz data, estimated once per model and theta pair in ``known``.
+
+    Asymptotic runs need none. Estimate before opening a run's sink, so the
+    grid's arrays are freed before the run's exist.
+    """
+    if prep.cfg.ctc != "practical":
+        return None
+    key = (prep.cfg.model, prep.model.theta_true.tobytes(), prep.model.theta_hat.tobytes())
+    if key not in known:
+        known[key] = estimate_lipschitz(prep.model, trig_grid())
+    return known[key]
 
 
 def _close_point(prep, lip, streamed) -> dict:
@@ -87,10 +94,10 @@ def _close_point(prep, lip, streamed) -> dict:
 
 
 def cmd_run(args) -> int:
-    prep = _load_spec(args).prepared
+    prep = _load_run(args)
     out = Path(args.out)
-    lip, sink = _open_point(prep, out)
-    (streamed,) = run_batch([prep], [sink])
+    lip = _lipschitz(prep, {})
+    (streamed,) = run_batch([prep], [RunSink(prep, out)])
     report = _close_point(prep, lip, streamed)
     if streamed.error is not None:
         print(f"partial record flushed to {out}", file=sys.stderr)
@@ -184,10 +191,17 @@ def _sweep_group(group: list) -> list:
     Its sinks live only as long as this call, so one batch's are held at a time.
     """
     results = []
-    opened = []
+    known = {}
+    estimated = []
     for slug, prep, out in group:
         try:
-            opened.append((slug, prep, *_open_point(prep, out)))
+            estimated.append((slug, prep, _lipschitz(prep, known), out))
+        except EtcError as exc:
+            results.append((slug, None, (2, str(exc))))
+    opened = []
+    for slug, prep, lip, out in estimated:
+        try:
+            opened.append((slug, prep, lip, RunSink(prep, out)))
         except EtcError as exc:
             results.append((slug, None, (2, str(exc))))
     if not opened:
@@ -214,10 +228,9 @@ def _sub_batches(items: list, jobs: int) -> list:
     exactly. The chunks go to the worker pool, or run one after another at
     ``--jobs 1``, so that only one chunk's points are held at a time.
     """
-    fields = ("model", "integrator", "h", "duration", "n_agents", "P")
     groups: dict = {}
     for item in items:
-        key = json.dumps([item[1].get(f) for f in fields], sort_keys=True, default=repr)
+        key = json.dumps([item[1].get(f) for f in SHARED_FIELDS], sort_keys=True, default=repr)
         groups.setdefault(key, []).append(item)
     chunks = []
     for group in groups.values():
@@ -227,6 +240,8 @@ def _sub_batches(items: list, jobs: int) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     path = Path(args.config)
     try:
         spec = json.loads(path.read_text())
@@ -253,7 +268,7 @@ def cmd_sweep(args) -> int:
         merged.update(overrides)
         items.append((slug, merged, str(out)))
 
-    chunks = _sub_batches(items, max(args.jobs, 1))
+    chunks = _sub_batches(items, args.jobs)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = [r for rs in pool.map(_sweep_batch, chunks) for r in rs]
@@ -287,8 +302,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check_cmf(args) -> int:
-    prep = _load_spec(args).prepared
-    report = check_cmf(prep.model, prep.cert, trig_grid(step=args.grid_step))
+    step = args.grid_step
+    if not (math.isfinite(step) and step > 0.0):
+        raise ConfigError(f"--grid-step must be a finite number > 0, got {step!r}")
+    side = (2.0 * math.pi + 1e-9) / step  # trig_grid's points per axis, before rounding up
+    # Its meshgrid copies and the stacked points take 32 bytes per point.
+    check_fits(side * side, 32, f"the {side:.0f} x {side:.0f} points of --grid-step {step!r}",
+               "raise --grid-step")
+    prep = _load_run(args)
+    report = check_cmf(prep.model, prep.cert, trig_grid(step=step))
     payload = {
         "holds": report.holds,
         "worst_margin": report.worst_margin,

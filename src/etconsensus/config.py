@@ -3,15 +3,15 @@
 A config file is one flat JSON object whose keys match SimConfig's fields.
 Optional keys take documented defaults (h = 0.01, integrator = rk4,
 epsilon = 1/lambda_max, b_i = 1/(5 l_ii) via null). Loading validates the
-full parameter set once, through ``prepare``, and a RunSpec that comes back
-from ``load_config`` carries the result: ``run(spec.prepared)`` runs it
-without validating or deriving anything again.
+full parameter set once, through ``prepare``, and returns the prepared run:
+``run(load_config(path))`` runs it without validating or deriving anything
+again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -101,19 +101,6 @@ _REQUIRED = (
 )
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """A validated run request: the prepared run plus where it came from."""
-
-    prepared: Prepared
-    preset: str | None = None
-    source: str | None = None
-
-    @property
-    def config(self) -> SimConfig:
-        return self.prepared.cfg
-
-
 def preset_config(name: str) -> dict:
     """Canonical dict form of a named preset."""
     presets = _preset_dicts()
@@ -150,12 +137,12 @@ def config_from_dict(data: dict) -> SimConfig:
     return prepare_dict(data).cfg
 
 
-def load_preset(name: str, **overrides) -> RunSpec:
+def load_preset(name: str, **overrides) -> Prepared:
     """Load and validate a named preset, with ``overrides`` merged in first."""
-    return RunSpec(prepared=prepare_dict(preset_config(name), **overrides), preset=name)
+    return prepare_dict(preset_config(name), **overrides)
 
 
-def load_config(path, **overrides) -> RunSpec:
+def load_config(path, **overrides) -> Prepared:
     """Load and validate a JSON config file, with ``overrides`` merged in first."""
     path = Path(path)
     try:
@@ -166,7 +153,7 @@ def load_config(path, **overrides) -> RunSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    return RunSpec(prepared=prepare_dict(data, **overrides), source=str(path))
+    return prepare_dict(data, **overrides)
 
 
 def serialize_config(cfg: SimConfig) -> dict:

@@ -1,10 +1,7 @@
-"""Several prepared runs stepped as one: the disjoint union of their graphs.
+"""The step loop's core: prepared runs joined as one run over the disjoint union of their graphs.
 
-The step loop reads a prepared run's rows (its agents), their disagreement
-layout and their per-row coefficients (see ``simulator.Prepared``).
-``lockstep`` joins several prepared runs into one ``Lockstep`` with the same
-attributes, whose every row carries the arithmetic its run does alone, so
-each member steps bit for bit as it would alone.
+A single run is the union of one. Every row carries the arithmetic its run
+does alone, so each member steps bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -18,13 +15,25 @@ from .graph import Graph
 
 
 class Lockstep(SimpleNamespace):
-    """The union of B prepared runs, with the step-loop attributes of a ``Prepared``.
+    """What the step loop reads: the rows of B prepared runs and their coefficients.
 
     Rows are agents: the B leaders first (rows 0..B-1), then every run's
     followers in run order, so the control term goes to one contiguous
     slice ``[leaders:]``; ``member_rows`` gives each run's rows in agent
-    order. ``two_kappa``, ``xi`` and ``neg_kappa`` are per-row vectors here
-    (``neg_kappa`` a column over the followers), scalars in a ``Prepared``.
+    order. The disagreement layout takes the rows in group order: by closed
+    neighbourhood size k, then by row. ``flat_idx`` joins their closed
+    neighbourhoods, each in agent order, and ``flat_own`` repeats each row
+    k times, so ``xhat[flat_idx] - xhat[flat_own]`` holds every difference
+    xhat_j - xhat_i. ``blocks`` has one ``(diffs, rows, shape, coeffs)``
+    entry per k: the group's slice of the differences, its slice of the
+    group order, the (g, k, n) shape of its differences and its Laplacian
+    entries as (g, 1, k). ``inv`` maps each row to its place in group order.
+    ``theta_rows`` (2R, p) is the parameter of each row of the stacked state
+    [x; xhat]: theta_true for the true states, theta_hat for the estimates.
+    ``Q`` is P B B' P, the matrix behind every trigger quadratic form;
+    ``BtPt`` and ``Bt`` are (B'P)' and B'. The trigger coefficients are per
+    row: ``s_coeff``, ``sig_theta`` = sigma theta_coeff, ``two_kappa`` =
+    2 kappa and ``xi``; ``neg_kappa`` = -kappa is a column over the followers.
     """
 
 
@@ -62,37 +71,37 @@ def layout(members: list, coeffs: list, n: int) -> dict:
     )
 
 
-# What the members of one lockstep batch must share, with the field named on a mismatch.
+# What the members of one lockstep batch must share: the config field behind
+# each, the name given on a mismatch and the prepared run's value.
 _SHARED = (
-    ("model", lambda p: p.cfg.model),
-    ("integrator", lambda p: p.integrator),
-    ("h", lambda p: p.h),
-    ("duration/h", lambda p: p.n_steps),
-    ("n_agents", lambda p: p.graph.n_agents),
-    ("P", lambda p: p.cert.P.tobytes()),
+    ("model", "model", lambda p: p.cfg.model),
+    ("integrator", "integrator", lambda p: p.cfg.integrator),
+    ("h", "h", lambda p: p.cfg.h),
+    ("duration", "duration/h", lambda p: p.n_steps),
+    ("n_agents", "n_agents", lambda p: p.graph.n_agents),
+    ("P", "P", lambda p: p.cert.P.tobytes()),
 )
+SHARED_FIELDS = tuple(field for field, _, _ in _SHARED)
 
 
 def batch_key(prep) -> tuple:
     """Runs with equal keys can step in lockstep: same model, integrator, h, steps, N and P."""
-    return tuple(get(prep) for _, get in _SHARED)
+    return tuple(get(prep) for _, _, get in _SHARED)
 
 
-def lockstep(preps) -> Prepared | Lockstep:
-    """The disjoint union of prepared runs, stepped as one run.
+def lockstep(preps) -> Lockstep:
+    """The step-loop core of prepared runs: their disjoint union, stepped as one run.
 
     Edges, x0, parameters and gains may differ between the members; what
     ``batch_key`` holds must not. Agent i of member b becomes row b for the
     leader and B + b (N - 1) + i - 1 for a follower; that map keeps each
     member's agent order, so every neighbourhood product runs over the same
-    terms in the same order as in the member's own layout. A batch of one is
-    the member itself.
+    terms in the same order as in the member's own layout, and a single
+    run's rows are its agents.
     """
     preps = list(preps)
     first = preps[0]
-    if len(preps) == 1:
-        return first
-    for name, get in _SHARED:
+    for _, name, get in _SHARED:
         if any(get(p) != get(first) for p in preps):
             raise UsageError(f"runs stepped in lockstep must share {name}")
     n_members, n_agents = len(preps), first.graph.n_agents
@@ -100,33 +109,31 @@ def lockstep(preps) -> Prepared | Lockstep:
     def place(b: int, i: int) -> int:
         return b if i == 0 else n_members + b * (n_agents - 1) + i - 1
 
-    def rows(arrays) -> np.ndarray:
-        a = np.stack(arrays)
-        return np.concatenate((a[:, 0], a[:, 1:].reshape(-1, *a.shape[2:])))
-
     order = [(b, 0) for b in range(n_members)]
     order += [(b, i) for b in range(n_members) for i in range(1, n_agents)]
+    owner, agent = (np.array(col) for col in zip(*order))
     neighbourhoods = [closed_neighbourhoods(p.graph) for p in preps]
     members = [[place(b, j) for j in neighbourhoods[b][i]] for b, i in order]
     coeffs = [preps[b].lap.L[i, neighbourhoods[b][i]] for b, i in order]
+    params = [p.params for p in preps]
+    kappa = np.array([q.kappa for q in params])
+    theta = np.stack([np.stack((p.model.theta_true, p.model.theta_hat)) for p in preps])
+    P, B = first.params.P, first.params.B
     return Lockstep(
-        x0=rows([p.x0 for p in preps]),
+        x0=np.stack([p.x0 for p in preps])[owner, agent],
         **layout(members, coeffs, first.model.state_dim),
-        theta_rows=np.concatenate((
-            rows([p.theta_rows[:n_agents] for p in preps]),
-            rows([p.theta_rows[n_agents:] for p in preps]),
-        )),
-        Q=first.Q,
-        BtPt=first.BtPt,
-        Bt=first.Bt,
-        neg_kappa=np.repeat([p.neg_kappa for p in preps], n_agents - 1)[:, None],
-        two_kappa=rows([np.full(n_agents, p.two_kappa) for p in preps]),
-        s_coeff=rows([p.s_coeff for p in preps]),
-        sig_theta=rows([p.sig_theta for p in preps]),
-        xi=rows([np.full(n_agents, p.xi) for p in preps]),
-        f=first.f,
-        h=first.h,
-        integrator=first.integrator,
+        theta_rows=np.concatenate((theta[owner, 0], theta[owner, 1])),
+        Q=P @ B @ B.T @ P,
+        BtPt=first.params.BtP.T,
+        Bt=first.model.B.T,
+        neg_kappa=(-kappa)[owner[n_members:], None],
+        two_kappa=(2.0 * kappa)[owner],
+        s_coeff=np.stack([q.s_coeff for q in params])[owner, agent],
+        sig_theta=np.stack([q.sigma * q.theta_coeff for q in params])[owner, agent],
+        xi=np.array([q.xi for q in params])[owner],
+        f=first.model.f,
+        h=first.cfg.h,
+        integrator=first.cfg.integrator,
         n_steps=first.n_steps,
         leaders=n_members,
         member_rows=tuple(

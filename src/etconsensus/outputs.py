@@ -30,18 +30,17 @@ from .graph import Graph
 _WRITE_BLOCK = 256
 
 
-def check_fits(n_steps: int, row_bytes: int) -> None:
-    """Refuse a run whose kept rows, ``row_bytes`` per sample, exceed this machine's memory."""
-    need = (n_steps + 1) * row_bytes
+def check_fits(n_rows, row_bytes: int, what: str, fix: str = "shorten duration or raise h") -> None:
+    """Refuse the ``n_rows`` x ``row_bytes`` bytes ``what`` needs beyond this machine's memory."""
+    need = n_rows * row_bytes
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     if need > have:
         raise ConfigError(
-            f"duration/h = {n_steps} steps need a {need / 2**30:.3g} GiB record, more"
-            f" than this machine's {have / 2**30:.3g} GiB of memory; shorten duration"
-            " or raise h"
+            f"{what} need {need / 2**30:.3g} GiB, more than this machine's"
+            f" {have / 2**30:.3g} GiB of memory; {fix}"
         )
 
 
@@ -212,7 +211,7 @@ class RunSink:
     def __init__(self, prep, out_dir):
         n_agents = prep.graph.n_agents
         rows = prep.n_steps + 1
-        check_fits(prep.n_steps, 16)  # V, and the times formed at close
+        check_fits(rows, 16, f"duration/h = {prep.n_steps} steps")  # V, and the times made at close
         self.prep = prep
         self.config = prep.cfg
         self.csv = CsvWriter(out_dir, n_agents, prep.model.state_dim, prep.cfg.dump_estimates)
@@ -246,7 +245,7 @@ class RunSink:
 
     def close(self, runtime: float, error: str | None = None) -> RunSink:
         n = self.n
-        self.times = np.arange(n) * self.prep.h
+        self.times = np.arange(n) * self.config.h
         self.v_series = self.v[:n]
         if self.r_sum.total is not None:
             self.r_norm_sum = float(self.r_sum.total)

@@ -14,7 +14,7 @@ same parameter estimate and is reset by the same broadcasts, so the copies
 agree bit for bit.
 
 The disagreement w_i = sum_j l_ij (xhat_j - xhat_i) feeds the control law and
-both trigger conditions. ``prepare`` lays every agent's closed neighbourhood
+both trigger conditions. ``lockstep`` lays every agent's closed neighbourhood
 out flat, the agents grouped by neighbourhood size, so one gather forms every
 difference xhat_j - xhat_i and one batched product per size forms the sums:
 the same per-row arithmetic as one product per agent. A world carries the
@@ -22,10 +22,10 @@ disagreement of its estimates as they stand after the step's broadcasts, so
 the next step's control term reads it instead of recomputing it, and when no
 agent fired the trigger's own w is that disagreement already.
 
-``run_batch`` steps several prepared runs in lockstep, as one run over the
-disjoint union of their graphs: every row's arithmetic is the one its run
-does alone, so each member is bit-for-bit its solo run, and a solo ``run`` is
-the batch of one.
+The step loop reads a ``Lockstep``: prepared runs stepped as one run over the
+disjoint union of their graphs. Every row's arithmetic is the one its run
+does alone, so each member of a ``run_batch`` is bit-for-bit its solo run,
+and a solo ``run`` is the batch of one.
 
 Runs are bit-for-bit reproducible for a fixed numpy/BLAS build: no
 randomness, no wall-clock dependence in the dynamics, and a deterministic
@@ -40,7 +40,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from .errors import ConfigError, NumericsError
 from .estimation import EstimatorBank, apply_broadcast, propagate_all
 from .graph import Graph, Laplacian, build_laplacian
 from .integrate import INTEGRATORS
-from .lockstep import Lockstep, closed_neighbourhoods, layout, lockstep
+from .lockstep import Lockstep, lockstep
 from .outputs import (  # records and their files are part of this module's API
     RunRecord,
     check_fits,
@@ -149,27 +148,12 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class Prepared:
-    """Validated, fully derived run inputs: also what the step loop reads.
+    """A run's validated inputs and what its config derives.
 
-    The disagreement layout takes the agents in group order: by closed
-    neighbourhood size k, then by id. ``flat_idx`` joins their closed
-    neighbourhoods, each sorted by agent id, and ``flat_own`` repeats each
-    agent k times, so ``xhat[flat_idx] - xhat[flat_own]`` holds every
-    difference xhat_j - xhat_i. ``blocks`` has one ``(diffs, rows, shape,
-    coeffs)`` entry per k: the group's slice of the differences, its slice of
-    the group order, the (g, k, n) shape of its differences and its Laplacian
-    entries as (g, 1, k). ``inv`` maps each agent to its place in group order.
-    ``theta_rows`` (2N, p) is the parameter of each row of the stacked state
-    [x; xhat]: theta_true for the true states, theta_hat for the estimates.
-    ``Q`` is P B B' P, the matrix behind every trigger quadratic form;
-    ``BtPt`` and ``Bt`` are (B'P)' and B'. The trigger coefficients:
-    ``s_coeff`` and ``sig_theta`` = sigma theta_coeff per agent, and the
-    scalars ``two_kappa`` = 2 kappa, ``neg_kappa`` = -kappa and ``xi``. A
-    prepared run is a lockstep of one: one leader row, and ``member_rows``
-    holds its rows in agent order (see ``lockstep.Lockstep``).
+    ``n_steps`` is duration/h; h and the integrator are read from ``cfg``.
+    The step loop reads a ``lockstep.Lockstep`` built from one or more of
+    these, never a ``Prepared`` itself.
     """
-
-    leaders = 1  # rows before the first follower
 
     cfg: SimConfig
     model: SystemModel
@@ -178,24 +162,7 @@ class Prepared:
     params: TriggerParams
     cert: CmfCertificate
     x0: np.ndarray
-    flat_idx: np.ndarray
-    flat_own: np.ndarray
-    blocks: tuple
-    inv: np.ndarray
-    theta_rows: np.ndarray
-    Q: np.ndarray
-    BtPt: np.ndarray
-    Bt: np.ndarray
-    neg_kappa: float
-    two_kappa: float
-    s_coeff: np.ndarray
-    sig_theta: np.ndarray
-    xi: float
-    f: Callable
-    h: float
-    integrator: str
     n_steps: int
-    member_rows: tuple
 
 
 def _is_int(v) -> bool:
@@ -300,31 +267,7 @@ def prepare(cfg: SimConfig) -> Prepared:
         b=cfg.b,
         xi=cfg.xi,
     )
-    members = closed_neighbourhoods(graph)
-    return Prepared(
-        cfg=cfg,
-        model=model,
-        graph=graph,
-        lap=lap,
-        params=params,
-        cert=cert,
-        x0=x0,
-        **layout(members, [lap.L[i, m] for i, m in enumerate(members)], model.state_dim),
-        theta_rows=np.repeat(np.stack((model.theta_true, model.theta_hat)), cfg.n_agents, axis=0),
-        Q=params.P @ params.B @ params.B.T @ params.P,
-        BtPt=params.BtP.T,
-        Bt=model.B.T,
-        neg_kappa=-params.kappa,
-        two_kappa=2.0 * params.kappa,
-        s_coeff=params.s_coeff,
-        sig_theta=params.sigma * params.theta_coeff,
-        xi=params.xi,
-        f=model.f,
-        h=cfg.h,
-        integrator=cfg.integrator,
-        n_steps=int(round(steps)),
-        member_rows=(np.arange(cfg.n_agents),),
-    )
+    return Prepared(cfg, model, graph, lap, params, cert, x0, int(round(steps)))
 
 
 @dataclass
@@ -346,7 +289,7 @@ class WorldState:
     trigger: TriggerState | None
 
 
-def initial_world(core: Prepared | Lockstep) -> WorldState:
+def initial_world(core: Lockstep) -> WorldState:
     n_rows, n = core.x0.shape
     xhat = core.x0.copy()
     return WorldState(
@@ -358,12 +301,12 @@ def initial_world(core: Prepared | Lockstep) -> WorldState:
     )
 
 
-def step(world: WorldState, core: Prepared | Lockstep) -> WorldState:
+def step(world: WorldState, core: Lockstep) -> WorldState:
     """Advance one step of the prepared run (or lockstep union)."""
     return _step(world, core)
 
 
-def _disagreement(xhat: np.ndarray, core: Prepared | Lockstep) -> np.ndarray:
+def _disagreement(xhat: np.ndarray, core: Lockstep) -> np.ndarray:
     """w_i = sum_j l_ij (xhat_j - xhat_i) over i's closed neighbourhood, for every i.
 
     One gather forms every difference, then one batched product per
@@ -379,7 +322,7 @@ def _disagreement(xhat: np.ndarray, core: Prepared | Lockstep) -> np.ndarray:
 
 
 def _evaluate(
-    x: np.ndarray, xhat: np.ndarray, core: Prepared | Lockstep, w: np.ndarray | None = None
+    x: np.ndarray, xhat: np.ndarray, core: Lockstep, w: np.ndarray | None = None
 ) -> TriggerState:
     """Both trigger quantities and the firing test, for every agent at once.
 
@@ -399,7 +342,7 @@ def _evaluate(
     return TriggerState(e=e, w=w, delta=delta, threshold=threshold, fired=fired)
 
 
-def _advance(world: WorldState, core: Prepared | Lockstep) -> np.ndarray:
+def _advance(world: WorldState, core: Lockstep) -> np.ndarray:
     """The stacked [x; xhat] one step on; NumericsError if a row becomes non-finite.
 
     Zero-order hold: inputs from the estimates at time t, constant over the
@@ -429,7 +372,7 @@ def _advance(world: WorldState, core: Prepared | Lockstep) -> np.ndarray:
     return y
 
 
-def _step(world: WorldState, core: Prepared | Lockstep) -> WorldState:
+def _step(world: WorldState, core: Lockstep) -> WorldState:
     y = _advance(world, core)
     n_rows = len(world.x)
     x_new, xhat_new = y[:n_rows], y[n_rows:]
@@ -504,8 +447,9 @@ class _Collect:
     def __init__(self, prep: Prepared):
         n_agents, n = prep.x0.shape
         copies = 2 if prep.cfg.dump_estimates else 1
-        check_fits(prep.n_steps, 8 + n_agents * (8 * n * copies + 8 * len(_SERIES) + 1))
         rows = prep.n_steps + 1
+        check_fits(rows, 8 + n_agents * (8 * n * copies + 8 * len(_SERIES) + 1),
+                   f"duration/h = {prep.n_steps} steps")
         self.prep = prep
         self.n = 0
         self.arrays = {
@@ -539,7 +483,7 @@ class _Buffer:
     major), with the sample times ``k * h``.
     """
 
-    def __init__(self, core: Prepared | Lockstep, names: tuple, k0: int, sinks: list):
+    def __init__(self, core: Lockstep, names: tuple, k0: int, sinks: list):
         n_rows, n = core.x0.shape
         self.arrays = {
             name: np.zeros(
@@ -591,13 +535,11 @@ def _failures(exc: NumericsError, world: WorldState, core, preps: list) -> dict:
     Each member's rows are stepped alone, which is bitwise what its solo run
     does at this step, so the message is its solo run's own.
     """
-    if len(preps) == 1:
-        return {0: str(exc)}
     failed = {}
     for b, (prep, rows) in enumerate(zip(preps, core.member_rows)):
         alone = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
         try:
-            _advance(alone, prep)
+            _advance(alone, lockstep([prep]))
         except NumericsError as member_exc:
             failed[b] = str(member_exc)
     if not failed:
@@ -647,11 +589,12 @@ def run_batch(preps, sinks=None) -> list:
             kept = [pos for pos in range(len(alive)) if pos not in failed]
             if not kept:
                 return results
-            rows = np.concatenate([core.member_rows[pos][:1] for pos in kept]
-                                  + [core.member_rows[pos][1:] for pos in kept])
-            world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
             alive = [alive[pos] for pos in kept]
-            core = lockstep([preps[b] for b in alive])
+            old, core = core, lockstep([preps[b] for b in alive])
+            rows = np.empty(len(core.x0), dtype=np.intp)
+            for pos, new_rows in zip(kept, core.member_rows):
+                rows[new_rows] = old.member_rows[pos]
+            world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
             buf = _Buffer(core, names, buf.k0, [sinks[b] for b in alive])
             continue
         buf.keep(world, world.trigger)

@@ -22,6 +22,7 @@ from etconsensus.errors import ConfigError, NumericsError, TopologyError, UsageE
 from etconsensus.estimation import EstimatorBank
 from etconsensus.graph import Graph, Laplacian
 from etconsensus.integrate import step_fn
+from etconsensus.lockstep import lockstep
 from etconsensus.simulator import Prepared, RunRecord, _assemble_record, _banks_synchronized
 
 # --- scalar trigger and control maths ------------------------------------------
@@ -159,12 +160,13 @@ class BankLayout:
 
     Bank rows are sorted by agent id, as ``make_banks`` lays them out.
     ``sync_groups`` lists, per observed agent, every (bank index, row index)
-    holding an estimate of it.
+    holding an estimate of it. ``Q`` is the run's core's P B B' P.
     """
 
     coeffs: tuple
     own_pos: tuple
     sync_groups: tuple
+    Q: np.ndarray
 
 
 def bank_layout(prep: Prepared) -> BankLayout:
@@ -181,6 +183,7 @@ def bank_layout(prep: Prepared) -> BankLayout:
         coeffs=tuple(prep.lap.L[i, list(members[i])].copy() for i in range(n_agents)),
         own_pos=tuple(members[i].index(i) for i in range(n_agents)),
         sync_groups=tuple(groups),
+        Q=lockstep([prep]).Q,
     )
 
 
@@ -202,8 +205,8 @@ def _evaluate(x, banks, prep: Prepared, layout: BankLayout) -> TriggerState:
         own = est[layout.own_pos[i]]
         e[i] = x[i] - own
         w[i] = layout.coeffs[i] @ (est - own)
-    wQ = w @ prep.Q
-    eQ = e @ prep.Q
+    wQ = w @ layout.Q
+    eQ = e @ layout.Q
     delta = params.s_coeff * (eQ * e).sum(axis=1) + np.abs(
         2.0 * params.kappa * (wQ * e).sum(axis=1)
     )

@@ -28,6 +28,7 @@ from etconsensus.config import config_from_dict, preset_config
 from etconsensus.control import build_trigger_params, practical_consensus_bound
 from etconsensus.dynamics import CmfCertificate, check_cmf, make_model, trig_grid
 from etconsensus.graph import Graph, build_laplacian
+from etconsensus.lockstep import lockstep
 from etconsensus.metrics import compute_metrics, fit_decay_rate
 from etconsensus.simulator import prepare, run, write_run_outputs, zeno_guard_report
 
@@ -251,6 +252,7 @@ def test_criterion_5_trigger_soundness(run_cache):
                     f"{tag}: estimation error nonzero right after {nonzero_post} events"
                 )
     prep = prepare(config_from_dict(preset_config("paper-zeno-040")))
+    core = lockstep([prep])
     params = prep.params
     rng = np.random.default_rng(77)
     for i in range(5):
@@ -259,7 +261,7 @@ def test_criterion_5_trigger_soundness(run_cache):
                 failures.append(f"delta not exactly zero at e = 0 for agent {i + 1}")
     for _ in range(10):
         x = rng.normal(size=(5, 2))
-        if np.any(simulator._evaluate(x, x, prep).delta != 0.0):
+        if np.any(simulator._evaluate(x, x, core).delta != 0.0):
             failures.append("the simulator's delta is not exactly zero at e = 0")
     finish(
         5,
@@ -277,7 +279,7 @@ def test_criterion_6_oracle_equivalences():
 
     # The simulator's vectorized trigger quantities against the scalar
     # per-agent forms, on the same graph and gains.
-    prep = prepare(config_from_dict(preset_config("paper-asym-040")))
+    step_core = lockstep([prepare(config_from_dict(preset_config("paper-asym-040")))])
     rng = np.random.default_rng(1234)
     worst_w = 0.0
     worst_phi = 0.0
@@ -287,7 +289,7 @@ def test_criterion_6_oracle_equivalences():
         x = xhat + rng.normal(size=(5, 2))
         banks = make_banks(graph, xhat, [0.4])
         want = lap.L @ xhat
-        core = simulator._evaluate(x, xhat, prep)
+        core = simulator._evaluate(x, xhat, step_core)
         for i in range(5):
             w = compute_wi(i, banks[i], lap)
             worst_w = max(worst_w, float(np.max(np.abs(w - want[i]))))

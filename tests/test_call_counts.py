@@ -1,9 +1,10 @@
 """Each run is validated, derived and measured once, and w is formed no more than needed.
 
 ``prepare`` (which builds the Laplacian and solves its spectra) and
-``compute_metrics`` are counted across ``cli.main`` invocations, and
-``simulator._disagreement`` across one run, by replacing every reference the
-package's modules hold to them, imports by value included.
+``compute_metrics`` are counted across ``cli.main`` invocations,
+``estimate_lipschitz`` across a sweep, and ``simulator._disagreement``
+across one run, by replacing every reference the package's modules hold to
+them, imports by value included.
 """
 
 import json
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from etconsensus import graph, metrics, simulator
+from etconsensus import dynamics, graph, metrics, simulator
 from etconsensus.cli import main
 from etconsensus.config import load_preset, preset_config
 
@@ -76,6 +77,27 @@ def test_one_of_each_per_sweep_point(counts, tmp_path):
     assert counts == dict.fromkeys(COUNTED, 2)
 
 
+def test_one_lipschitz_grid_per_model_and_theta_in_a_sweep(monkeypatch, tmp_path):
+    """Six practical points in one batch, over two theta_hat: two Lipschitz grids."""
+    calls = 0
+    original = dynamics.estimate_lipschitz
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, original, counting)
+    base = preset_config("paper-zeno-040")
+    base["duration"] = 0.5
+    spec = tmp_path / "sweep.json"
+    grid = {"sigma": [0.5, 0.7, 0.9], "theta_hat": [[0.4], [0.35]]}
+    spec.write_text(json.dumps({"base": base, "grid": grid}))
+    argv = ["sweep", "--config", str(spec), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    assert main(argv) == 0
+    assert calls == 2
+
+
 @pytest.mark.parametrize("preset", ["paper-asym-040", "paper-zeno-040"])
 def test_one_disagreement_per_step_and_per_broadcast_step(preset, monkeypatch):
     """One w per trigger evaluation, plus one on the reset estimates of a step with a broadcast.
@@ -83,7 +105,7 @@ def test_one_disagreement_per_step_and_per_broadcast_step(preset, monkeypatch):
     The initial world forms the first; a step without a broadcast hands its
     trigger's w on to the next step's control term.
     """
-    prep = load_preset(preset, duration=2.0).prepared
+    prep = load_preset(preset, duration=2.0)
     calls = 0
     original = simulator._disagreement
 

@@ -69,10 +69,10 @@ class TestPresets:
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("paper-asym-050")
 
-    def test_load_preset_tags_origin(self):
-        spec = load_preset("paper-asym-040")
-        assert spec.preset == "paper-asym-040"
-        assert spec.source is None
+    def test_load_preset_returns_the_prepared_preset(self):
+        prep = load_preset("paper-asym-040", duration=2.0)
+        assert serialize_config(prep.cfg) == {**preset_config("paper-asym-040"), "duration": 2.0}
+        assert prep.n_steps == 200
 
 
 class TestConfigFiles:
@@ -90,14 +90,12 @@ class TestConfigFiles:
             "seed",
         ):
             d.pop(key)
-        spec = load_config(write_json(tmp_path / "c.json", d))
-        cfg = spec.config
+        cfg = load_config(write_json(tmp_path / "c.json", d)).cfg
         assert cfg.h == 0.01
         assert cfg.integrator == "rk4"
         assert cfg.model == "paper-sys"
         assert cfg.xi == 0.0
         assert cfg.b is None and cfg.epsilon is None
-        assert spec.source.endswith("c.json")
 
     def test_unknown_field_rejected(self, tmp_path):
         d = preset_config("paper-asym-040")
@@ -285,6 +283,12 @@ class TestCheckCmf:
         assert payload["worst_margin"] <= payload["tolerance"]
         assert payload["rho"] == 20.0
 
+    @pytest.mark.parametrize("step", ["0", "nan", "1e-7", "-0.05", "inf"])
+    def test_bad_grid_step_exits_2_naming_it(self, step, capsys):
+        """Refused before any grid is built, one too large for memory included."""
+        assert main(["check-cmf", "--preset", "paper-asym-040", f"--grid-step={step}"]) == 2
+        assert "--grid-step" in capsys.readouterr().err
+
     def test_faster_decay_demand_fails(self, tmp_path, capsys):
         d = preset_config("paper-asym-040")
         d["q"] = 10.0
@@ -382,6 +386,14 @@ class TestSweep:
         prac = [v["comm_count"] for k, v in summary["points"].items() if "ctc=practical" in k]
         assert len(asym) == 2 and len(prac) == 2
         assert sum(asym) > sum(prac)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bad_jobs_exits_2_naming_it(self, jobs, tmp_path, capsys):
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", sweep_spec_file(tmp_path), "--out", str(out), f"--jobs={jobs}"]
+        assert main(argv) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_jobs_byte_identical(self, tmp_path):
         specp = sweep_spec_file(tmp_path)

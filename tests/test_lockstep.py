@@ -21,7 +21,7 @@ from etconsensus import metrics
 from etconsensus.cli import main
 from etconsensus.config import prepare_dict, preset_config
 from etconsensus.dynamics import estimate_lipschitz, trig_grid
-from etconsensus.errors import UsageError
+from etconsensus.errors import NumericsError, UsageError
 from etconsensus.outputs import RunSink
 from etconsensus.simulator import run, run_batch, write_run_outputs, zeno_guard_report
 
@@ -95,22 +95,29 @@ class TestMembersEqualSoloRuns:
 
 
 def test_failing_member_leaves_the_batch():
+    """A member going non-finite closes with its solo run's error; the rest carry on as alone.
+
+    A middle member fails; the first fails, which moves every leader row;
+    two fail on the same step.
+    """
     base = preset_config("paper-asym-040")
-    preps = [prepare_dict(base, duration=1.0, kappa1=k) for k in (0.1, 1e300, 0.2)]
-    with np.errstate(all="ignore"):
-        batch = run_batch(preps)
-        alone = []
-        for prep in preps:
-            try:
-                alone.append(run(prep))
-            except Exception as exc:  # the 1e300 point goes non-finite at t = 0.02
-                alone.append(exc.partial_record)
-    assert [rec.error is not None for rec in batch] == [False, True, False]
-    assert batch[1].error == alone[1].error
-    assert "non-finite" in batch[1].error and "t = 0.020000" in batch[1].error
-    for member, solo in zip(batch, alone):
-        for name in SERIES:
-            assert np.array_equal(getattr(member, name), getattr(solo, name)), name
+    for kappas in ((0.1, 1e300, 0.2), (1e300, 0.1, 0.2), (0.1, 1e300, 0.2, 3e299)):
+        preps = [prepare_dict(base, duration=1.0, kappa1=k) for k in kappas]
+        with np.errstate(all="ignore"):
+            batch = run_batch(preps)
+            alone = []
+            for prep in preps:
+                try:
+                    alone.append(run(prep))
+                except NumericsError as exc:  # kappa1 >= 3e299 goes non-finite at t = 0.02
+                    alone.append(exc.partial_record)
+        assert [rec.error is not None for rec in batch] == [k > 1.0 for k in kappas]
+        for member, solo in zip(batch, alone):
+            assert member.error == solo.error, kappas
+            if member.error is not None:
+                assert "non-finite" in member.error and "t = 0.020000" in member.error
+            for name in SERIES:
+                assert np.array_equal(getattr(member, name), getattr(solo, name)), (kappas, name)
 
 
 class TestPairwiseSum:

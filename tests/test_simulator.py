@@ -13,6 +13,7 @@ from etconsensus.config import load_preset, prepare_dict
 from etconsensus.dynamics import SystemModel, make_model, register_model
 from etconsensus.errors import ConfigError, NumericsError, UsageError
 from etconsensus.graph import Graph
+from etconsensus.lockstep import lockstep
 from etconsensus.simulator import (
     SimConfig,
     WorldState,
@@ -200,10 +201,10 @@ class TestStepSemantics:
     def test_public_step_matches_run(self):
         cfg = paper_cfg(duration=0.05)
         rec = run(cfg)
-        prep = prepare(cfg)
-        world = initial_world(prep)
+        core = lockstep([prepare(cfg)])
+        world = initial_world(core)
         for k in range(1, 6):
-            world = step(world, prep)
+            world = step(world, core)
             assert np.array_equal(world.x, rec.states[k])
             assert np.array_equal(world.trigger.fired, rec.event_flags[k])
         assert math.isclose(world.t, 0.05, rel_tol=1e-12)
@@ -360,11 +361,12 @@ class TestDisagreement:
     @staticmethod
     def check(prep, rng):
         n_agents = prep.graph.n_agents
+        core = lockstep([prep])
         layout = bank_reference.bank_layout(prep)
         for scale in (1e-3, 1.0, 1e3):
             xhat = scale * rng.normal(size=(n_agents, 2))
             banks = make_banks(prep.graph, xhat, prep.model.theta_hat)
-            w = _disagreement(xhat, prep)
+            w = _disagreement(xhat, core)
             ref = bank_reference._evaluate(xhat, banks, prep, layout).w
             assert np.array_equal(w, ref)
             scalar = np.array([compute_wi(i, banks[i], prep.lap) for i in range(n_agents)])
@@ -377,7 +379,7 @@ class TestDisagreement:
         graph = random_connected_graph(rng, n, extra=2 * n, weighted=True)
         prep = prepare_dict(graph_dict(graph.adjacency, [[0.0, 0.0]] * n, duration=0.0))
         assert max(len(graph.neighbours(i)) + 1 for i in range(n)) >= 10
-        assert len(prep.blocks) > 3
+        assert len(lockstep([prep]).blocks) > 3
         self.check(prep, rng)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -389,13 +391,14 @@ class TestDisagreement:
     def test_carried_w_matches_recomputed(self, preset):
         """The public step over 300 steps: the carried w is the estimates' own, and
         each step's states, flags and trigger series equal run()'s."""
-        prep = load_preset(preset, duration=3.0).prepared
+        prep = load_preset(preset, duration=3.0)
+        core = lockstep([prep])
         rec = run(prep)
-        world = initial_world(prep)
-        assert np.array_equal(world.w, _disagreement(world.xhat, prep))
+        world = initial_world(core)
+        assert np.array_equal(world.w, _disagreement(world.xhat, core))
         for k in range(1, prep.n_steps + 1):
-            world = step(world, prep)
-            assert np.array_equal(world.w, _disagreement(world.xhat, prep))
+            world = step(world, core)
+            assert np.array_equal(world.w, _disagreement(world.xhat, core))
             assert np.array_equal(world.x, rec.states[k])
             assert np.array_equal(world.trigger.fired, rec.event_flags[k])
             assert np.array_equal(world.trigger.delta, rec.delta[k])
@@ -407,7 +410,7 @@ class TestBankReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_network_80_matches_reference(self, seed):
         prep = prepare_dict(network_80_dict(seed, duration=0.3))
-        assert len(prep.blocks) > 2
+        assert len(lockstep([prep]).blocks) > 2
         rec = run(prep)
         ref = run_reference(prep)
         assert ref.sync_mismatches == 0
