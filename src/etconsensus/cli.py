@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import (
@@ -270,6 +269,7 @@ def cmd_sweep(args) -> int:
 
     chunks = _sub_batches(items, args.jobs)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = [r for rs in pool.map(_sweep_batch, chunks) for r in rs]
     else:
@@ -303,9 +303,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_check_cmf(args) -> int:
     step = args.grid_step
-    if not (math.isfinite(step) and step > 0.0):
-        raise ConfigError(f"--grid-step must be a finite number > 0, got {step!r}")
-    side = (2.0 * math.pi + 1e-9) / step  # trig_grid's points per axis, before rounding up
+    span = 2.0 * math.pi + 1e-9  # trig_grid's axis; a step as long holds a single point
+    if not 0.0 < step < span:
+        raise ConfigError(f"--grid-step must be a number in (0, 2*pi), got {step!r}")
+    side = span / step  # trig_grid's points per axis, before rounding up
     # Its meshgrid copies and the stacked points take 32 bytes per point.
     check_fits(side * side, 32, f"the {side:.0f} x {side:.0f} points of --grid-step {step!r}",
                "raise --grid-step")

@@ -133,9 +133,9 @@ def build_trigger_params(
     R = tuple(2.0 * kappa * pbbp for _ in range(n_agents))
     Theta = tuple(theta_coeff[i] * pbbp for i in range(n_agents))
     S = tuple(s_coeff[i] * pbbp for i in range(n_agents))
-    for i, th in enumerate(Theta):
-        if eigvalsh(th)[0] < -1e-12:
-            raise ConfigError(f"Theta[{i}] is not positive semidefinite")
+    negative = np.flatnonzero(eigvalsh(np.stack(Theta))[:, 0] < -1e-12)
+    if negative.size:
+        raise ConfigError(f"Theta[{negative[0]}] is not positive semidefinite")
     return TriggerParams(
         kappa1=float(kappa1),
         kappa2=float(kappa2),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConnectivityError, TopologyError
-from .linalg import eigvalsh, is_symmetric
+from .linalg import _jacobi, is_symmetric
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,7 @@ def spectral_bounds(L: np.ndarray) -> tuple[float, float]:
         raise TopologyError("spectral bounds need at least 2 agents")
     if not is_symmetric(L):
         raise TopologyError("Laplacian must be symmetric")
-    mu = float(eigvalsh(L[1:, 1:])[0])
-    lambda_max = float(eigvalsh(L)[-1])
-    return mu, lambda_max
+    stack = np.zeros((2,) + L.shape)  # L22 bordered by a zero row and column, and L
+    stack[0, :-1, :-1], stack[1] = L[1:, 1:], L
+    l22, full = _jacobi(stack, (len(L) - 1, len(L)))
+    return float(l22[0]), float(full[-1])

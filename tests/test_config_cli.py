@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import etconsensus
 from etconsensus.cli import main
 from etconsensus.config import (
     PRESET_NAMES,
@@ -283,9 +288,10 @@ class TestCheckCmf:
         assert payload["worst_margin"] <= payload["tolerance"]
         assert payload["rho"] == 20.0
 
-    @pytest.mark.parametrize("step", ["0", "nan", "1e-7", "-0.05", "inf"])
+    @pytest.mark.parametrize("step", ["0", "nan", "1e-7", "-0.05", "inf", "10", "7"])
     def test_bad_grid_step_exits_2_naming_it(self, step, capsys):
-        """Refused before any grid is built, one too large for memory included."""
+        """Refused before any grid is built: one too large for memory, and one
+        whose axes would hold a single point each (any step above 2*pi)."""
         assert main(["check-cmf", "--preset", "paper-asym-040", f"--grid-step={step}"]) == 2
         assert "--grid-step" in capsys.readouterr().err
 
@@ -386,6 +392,17 @@ class TestSweep:
         prac = [v["comm_count"] for k, v in summary["points"].items() if "ctc=practical" in k]
         assert len(asym) == 2 and len(prac) == 2
         assert sum(asym) > sum(prac)
+
+    def test_importing_the_cli_leaves_the_process_pool_out(self):
+        """Only ``sweep --jobs`` above 1 pays for importing concurrent.futures."""
+        src = str(Path(etconsensus.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, etconsensus.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_bad_jobs_exits_2_naming_it(self, jobs, tmp_path, capsys):

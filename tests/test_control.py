@@ -107,6 +107,19 @@ class TestGainMatrices:
         for Theta in params.Theta:
             assert eigvalsh(Theta.copy())[0] >= -1e-12
 
+    def test_indefinite_theta_names_the_first_failing_agent(self):
+        # P B B'P is positive semidefinite in exact arithmetic; with this P its
+        # rounding leaves an eigenvalue of about -0.019. With b[0] below, Theta[0]
+        # scales it by 1 - 2 L[0, 0] b[0] ~ 2e-16, back inside the -1e-12 tolerance.
+        bad_p = np.array([[7231901.098189695, 22510810.08259379],
+                          [22510810.08259379, -14074704.716139851]])
+        lap = fig_lap()
+        with pytest.raises(ConfigError, match=r"Theta\[0\] is not positive semidefinite"):
+            build_trigger_params(lap, bad_p, B, kappa1=0.1, kappa2=5.0, sigma=SIGMA)
+        b = [0.4999999999999999, 0.1, 0.1, 0.2, 0.2]
+        with pytest.raises(ConfigError, match=r"Theta\[1\] is not positive semidefinite"):
+            build_trigger_params(lap, bad_p, B, kappa1=0.1, kappa2=5.0, sigma=SIGMA, b=b)
+
     def test_parameter_validation(self):
         with pytest.raises(ConfigError, match="sigma"):
             fig_params(sigma=1.2)

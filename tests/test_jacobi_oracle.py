@@ -1,11 +1,13 @@
-"""The single-matrix Jacobi solver against the rotation loop it replaced.
+"""The lockstep Jacobi solver against the rotation loop it replaced.
 
-``eigvalsh`` on one (n, n) matrix computes the two rotated rows with one
-product, mirrors them into the two columns, and takes the rotated diagonal
-pair from the 2x2 block, with the scalar angle arithmetic in Python floats.
-``reference_eigvalsh`` below is the earlier loop, which formed the row and
-the column products separately with numpy scalars. On a bitwise-symmetric
-matrix (and on any 2x2 one) the two must agree bit for bit.
+``eigvalsh`` computes the two rotated rows with one product, mirrors them
+into the two columns, and takes the rotated diagonal pair from the 2x2 block,
+with the scalar angle arithmetic in Python floats; a (K, n, n) stack and
+``spectral_bounds``' pair of L22 (bordered by a zero row and column) and L
+share those products across the matrices. ``reference_eigvalsh`` below is
+the earlier loop for one matrix, which formed the row and the column products
+separately with numpy scalars. On a bitwise-symmetric matrix (and on any 2x2
+one) the two must agree bit for bit, for each member of a stack too.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 
 from conftest import random_connected_graph
 from etconsensus.errors import NumericsError
+from etconsensus.graph import Graph, spectral_bounds
 from etconsensus.linalg import eigvalsh
 
 
@@ -54,12 +57,24 @@ def reference_eigvalsh(a) -> np.ndarray:
     return np.sort(np.diag(a))
 
 
-def assert_same_bits(a) -> None:
-    a = np.asarray(a, dtype=float)
+def reference(a) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        want = reference_eigvalsh(a)
+        return reference_eigvalsh(np.asarray(a, dtype=float))
+
+
+def assert_same_bits(a) -> np.ndarray:
+    """eigvalsh(a) against the reference solve, which is returned."""
+    want = reference(a)
     got = eigvalsh(a)
     assert got.tobytes() == want.tobytes(), (got, want)
+    return want
+
+
+def assert_same_bounds(L) -> None:
+    """eigvalsh on L22 and L, and spectral_bounds(L), against two reference solves."""
+    want = (assert_same_bits(L[1:, 1:])[0], assert_same_bits(L)[-1])
+    got = spectral_bounds(L)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want], (got, want)
 
 
 def laplacian(graph) -> np.ndarray:
@@ -70,9 +85,60 @@ def laplacian(graph) -> np.ndarray:
 @pytest.mark.parametrize("seed", range(6))
 def test_eighty_agent_laplacians(seed):
     # The benchmark's network-80 construction: a random tree plus 20 chords.
-    L = laplacian(random_connected_graph(np.random.default_rng(seed), 80, extra=20))
-    assert_same_bits(L)
-    assert_same_bits(L[1:, 1:])
+    assert_same_bounds(laplacian(random_connected_graph(np.random.default_rng(seed), 80, extra=20)))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_weighted_eighty_agent_laplacians(seed):
+    rng = np.random.default_rng(seed)
+    assert_same_bounds(laplacian(random_connected_graph(rng, 80, extra=20, weighted=True)))
+
+
+def test_paper_and_smallest_laplacians():
+    assert_same_bounds(laplacian(Graph.from_edges(5, [[1, 2], [2, 3], [2, 5], [3, 4]])))
+    assert_same_bounds(laplacian(Graph.from_edges(2, [[1, 2, 1.5]])))  # L22 is 1x1
+    assert_same_bounds(laplacian(Graph.from_edges(3, [[1, 2], [2, 3, 0.7]])))
+    assert_same_bounds(laplacian(Graph.from_edges(3, [[1, 2], [1, 3], [2, 3]])))
+
+
+def test_stacks_match_each_member_alone():
+    rng = np.random.default_rng(47)
+    n = 6
+    dense = rng.normal(size=(n, n))
+    near_diagonal = np.diag(np.arange(1.0, n + 1.0)) + 1e-9 * (dense + dense.T)
+    L = laplacian(random_connected_graph(rng, n, extra=3, weighted=True))
+    with_inf = np.diag(np.arange(1.0, n + 1.0))
+    with_inf[2, 4] = with_inf[4, 2] = math.inf
+    # Members that rotate at every pair, converge at different sweeps, or
+    # never rotate at all.
+    rotating = [dense + dense.T, near_diagonal, L, 1e6 * (dense + dense.T)]
+    idle = [np.diag(rng.normal(size=n)), np.zeros((n, n)), -np.zeros((n, n)), with_inf]
+    for members in (rotating, idle, rotating + idle, idle[::-1] + rotating[::-1]):
+        stack = np.stack(members)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = eigvalsh(stack)
+        assert got.shape == (len(members), n)
+        for row, member in zip(got, members):
+            assert row.tobytes() == reference(member).tobytes(), (row, member)
+
+
+def test_rotation_products_are_per_matrix_and_per_column():
+    # The lockstep relies on two properties of numpy's matmul that the BLAS
+    # build, not the algorithm, decides: a stacked product gives each matrix
+    # the bits of its own product, and a column of (2, 2) @ (2, n) does not
+    # depend on n. The bordered L22 takes n + 1 columns instead of n.
+    rng = np.random.default_rng(53)
+    for n in (3, 8, 79):
+        t = rng.uniform(-3.0, 3.0, size=2)
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        s = t * c
+        rot = np.stack([np.array([[ck, sk], [-sk, ck]]) for ck, sk in zip(c, s)])
+        rows = rng.normal(size=(2, 2, n + 1)) * 10.0 ** rng.integers(-3, 4, size=(2, 1, 1))
+        stacked = np.matmul(rot.transpose(0, 2, 1), rows)
+        for k in range(2):
+            alone = rot[k].T @ rows[k]
+            assert stacked[k].tobytes() == alone.tobytes()
+            assert (rot[k].T @ rows[k, :, :n]).tobytes() == alone[:, :n].tobytes()
 
 
 def test_small_random_laplacians():
