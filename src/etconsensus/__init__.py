@@ -8,7 +8,7 @@ bounds that certify them.
 """
 
 from . import errors
-from .config import PRESET_NAMES, load_config, load_preset, preset_config, serialize_config
+from .config import PRESET_NAMES, load_config, load_preset, preset_config
 from .control import (
     TriggerParams,
     TriggerState,
@@ -56,7 +56,6 @@ __all__ = [
     "load_config",
     "load_preset",
     "preset_config",
-    "serialize_config",
     "TriggerParams",
     "TriggerState",
     "build_trigger_params",

@@ -27,7 +27,7 @@ from .dynamics import check_cmf, estimate_lipschitz, trig_grid
 from .errors import ConfigError, EtcError, NumericsError
 from .lockstep import SHARED_FIELDS, batch_key
 from .metrics import MetricReport, compute_metrics, markdown_tables
-from .outputs import RunSink, check_fits
+from .outputs import RunSink, check_fits, csv_columns
 from .simulator import (
     load_run_record,
     run_batch,
@@ -67,8 +67,8 @@ def _lipschitz(prep, known: dict):
     return known[key]
 
 
-def _close_point(prep, lip, streamed) -> dict:
-    """Write a streamed run's summary.json; return its metric report dict.
+def _close_point(prep, lip, streamed, out) -> dict:
+    """Write a streamed run's summary.json into ``out``; return its metric report dict.
 
     A run that went non-finite gets the summary of its partial outputs.
     """
@@ -88,7 +88,7 @@ def _close_point(prep, lip, streamed) -> dict:
             "satisfied": guard.satisfied,
         }
     report = compute_metrics(streamed)
-    write_run_outputs(streamed, streamed.out_dir, extra_summary=extra, report=report)
+    write_run_outputs(streamed, out, extra_summary=extra, report=report)
     return report.to_dict()
 
 
@@ -97,7 +97,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     lip = _lipschitz(prep, {})
     (streamed,) = run_batch([prep], [RunSink(prep, out)])
-    report = _close_point(prep, lip, streamed)
+    report = _close_point(prep, lip, streamed, out)
     if streamed.error is not None:
         print(f"partial record flushed to {out}", file=sys.stderr)
         raise NumericsError(streamed.error)
@@ -200,15 +200,15 @@ def _sweep_group(group: list) -> list:
     opened = []
     for slug, prep, lip, out in estimated:
         try:
-            opened.append((slug, prep, lip, RunSink(prep, out)))
+            opened.append((slug, prep, lip, out, RunSink(prep, out)))
         except EtcError as exc:
             results.append((slug, None, (2, str(exc))))
     if not opened:
         return results
-    slugs, preps, lips, sinks = zip(*opened)
-    for slug, prep, lip, streamed in zip(slugs, preps, lips, run_batch(preps, sinks)):
+    slugs, preps, lips, outs, sinks = zip(*opened)
+    for slug, prep, lip, out, streamed in zip(slugs, preps, lips, outs, run_batch(preps, sinks)):
         try:
-            report = _close_point(prep, lip, streamed)
+            report = _close_point(prep, lip, streamed, out)
         except EtcError as exc:
             results.append((slug, None, (2, str(exc))))
             continue
@@ -333,19 +333,18 @@ def cmd_check_cmf(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if not (math.isfinite(args.chi) and args.chi >= 0.0):
+        raise ConfigError(f"--chi must be a finite number >= 0, got {args.chi!r}")
     reports = {}
-    payload = {}
     for run_dir in args.run:
-        record = load_run_record(run_dir)
         label = Path(run_dir).name or str(run_dir)
-        report = compute_metrics(record, chi=args.chi)
-        reports[label] = report
-        payload[label] = report.to_dict()
+        reports[label] = compute_metrics(load_run_record(run_dir), chi=args.chi)
     text = markdown_tables(reports)
     print(text)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        payload = {label: report.to_dict() for label, report in reports.items()}
         (out / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         (out / "tables.md").write_text(text + "\n")
     return 0
@@ -362,8 +361,7 @@ def cmd_plotdata(args) -> int:
     if idx[-1] != n_samples - 1:
         idx.append(n_samples - 1)
 
-    cols = [f"x{i + 1}_{d + 1}" for i in range(n_agents) for d in range(n)]
-    lines = ["t," + ",".join(cols)]
+    lines = [",".join(csv_columns(n_agents, n, False))]
     for k in idx:
         lines.append(
             ",".join([_fmt_sig(record.times[k])] + [_fmt_sig(v) for v in record.states[k].ravel()])

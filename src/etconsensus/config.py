@@ -11,7 +11,7 @@ again.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -72,33 +72,8 @@ def _preset_dicts() -> dict[str, dict]:
 
 PRESET_NAMES = tuple(sorted(_preset_dicts()))
 
-_DEFAULTS = {
-    "model": "paper-sys",
-    "h": 0.01,
-    "integrator": "rk4",
-    "b": None,
-    "epsilon": None,
-    "xi": 0.0,
-    "dump_estimates": False,
-    "check_synchrony": True,
-    "seed": 0,
-}
-
-_REQUIRED = (
-    "theta",
-    "theta_hat",
-    "n_agents",
-    "edges",
-    "x0",
-    "duration",
-    "ctc",
-    "kappa1",
-    "kappa2",
-    "sigma",
-    "P",
-    "rho",
-    "q",
-)
+_DEFAULTS = {f.name: f.default for f in fields(SimConfig) if f.default is not MISSING}
+_REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
 
 
 def preset_config(name: str) -> dict:
@@ -154,8 +129,3 @@ def load_config(path, **overrides) -> Prepared:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return prepare_dict(data, **overrides)
-
-
-def serialize_config(cfg: SimConfig) -> dict:
-    """Canonical dict form; round-trips presets exactly."""
-    return cfg.to_dict()

@@ -217,14 +217,11 @@ class ZenoGuardReport:
 
 
 def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -> ZenoGuardReport:
-    """Check min inter-event time >= tau_i per agent on a practical-CTC record.
+    """Check min inter-event time >= tau_i per agent on a practical-CTC ``RunRecord``.
 
-    ``record`` is a ``RunRecord`` or a closed ``outputs.RunSink``; it gives
-    each agent's largest |w| (``w_max``) and shortest gap between events
-    (``min_inter_event``, inf for agents with fewer than two events, which
-    are vacuously satisfied). tau_i uses the run-measured w_max and the
-    grid-estimated k and Delta, so a record without its |w| series (one
-    reloaded from files) is refused.
+    Agents with fewer than two events are vacuously satisfied. tau_i uses the
+    run-measured w_max and the grid-estimated k and Delta, so a record
+    without its |w| series (one reloaded from files) is refused.
     """
     if record.config is None or record.config.ctc != "practical":
         raise UsageError(

@@ -140,12 +140,7 @@ def dist_series(states: np.ndarray) -> np.ndarray:
 
 
 def compute_metrics(record, chi: float = 0.1) -> MetricReport:
-    """Gamma and its components for one record, at communication weight chi.
-
-    ``record`` is a ``RunRecord`` or a closed ``outputs.RunSink``: both give
-    ``r_norm_sum`` (the pairwise sum of ``r_norms`` over the whole run),
-    ``per_agent_event_counts``, ``agent_degrees``, ``v_series`` and ``times``.
-    """
+    """Gamma and its components for one ``RunRecord``, at communication weight chi."""
     counts = record.per_agent_event_counts
     n_agents = len(counts)
     consensus_sum = record.r_norm_sum / n_agents
@@ -163,8 +158,8 @@ def compute_metrics(record, chi: float = 0.1) -> MetricReport:
         per_agent_event_counts=tuple(counts.tolist()),
         decay_rate=fit_decay_rate(record),
         receiver_weighted_count=weighted,
-        v_initial=float(record.v_series[0]),
-        v_final=float(record.v_series[-1]),
+        v_initial=record.v_initial,
+        v_final=record.v_final,
     )
 
 

@@ -1,15 +1,16 @@
 """Run records and run outputs on disk: states.csv, events.csv and summary.json.
 
-A run's rows reach disk through one writer, ``CsvWriter``, a block of rows
-at a time, so the text of a file is never held in memory at once. It serves
-two paths:
+``RunSink`` is the one sink a run's rows go to, and the one place the facts
+its summary reports are worked out: V, the consensus sum, the event counts
+and the Zeno guard's inputs, each as the rows arrive. ``RunSink(prep,
+out_dir)`` streams the CSVs through ``CsvWriter``, a block of rows at a
+time, so the text of a file is never held in memory at once;
+``RunSink(prep)`` keeps every sample in memory instead. Either way ``close``
+returns the run's ``RunRecord``.
 
-* ``RunSink``, the file sink the command line streams a run into: it writes
-  the CSVs as the run goes and keeps only what the summary needs;
-* ``write_run_outputs``, which feeds a complete ``RunRecord`` through the
-  same writer.
-
-``load_run_record`` reads a run directory back.
+``write_run_outputs`` writes a record's summary.json, after its CSVs when the
+record kept its samples. ``load_run_record`` reads a run directory back
+through an in-memory sink of the run's config.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .errors import ConfigError
+from .errors import ConfigError, EtcError
 from .graph import Graph
 
 # Rows of a record formatted per block by write_run_outputs.
@@ -68,33 +69,46 @@ def degrees(graph: Graph) -> np.ndarray:
     return (graph.adjacency > 0).sum(axis=1).astype(int)
 
 
+# The trigger series an in-memory sink keeps, as evaluated at each CTC check.
+_TRIGGER_SERIES = ("delta", "threshold", "w_norm", "e_norm")
+
+
 @dataclass
 class RunRecord:
-    """Complete time series and event log of one run.
+    """One run: the facts its ``RunSink`` worked out, and its samples if kept.
 
-    ``event_flags`` (samples, N) is the event log: True where an agent
-    broadcast at that instant. ``delta``, ``threshold``, ``w_norm``, ``e_norm``
-    hold the trigger quantities as evaluated at each instant's CTC check
-    (pre-reset); a record reloaded from files has none of them (None).
-    Derived on access: ``events``, the (t, agent) pairs in time then agent
-    order; ``per_agent_event_counts``; ``e_norm_post``, the estimation error
-    after the batch of resets, exactly zero wherever an event fired;
-    ``r_series``, each agent's offset from the leader, and ``r_norm_sum``,
-    the sum of its length over agents and samples; and the Zeno guard's
-    inputs ``w_max`` and ``min_inter_event``.
+    Always present: ``times``, ``v_series``, ``per_agent_event_counts``,
+    ``r_norm_sum`` (every agent's distance from the leader, summed over
+    agents and samples) and, when the run's |w| series reached the sink, the
+    Zeno guard's inputs ``w_max`` (each agent's largest |w|) and
+    ``min_inter_event`` (each agent's shortest gap between two of its
+    events, inf below two events).
+
+    The samples, None on a streamed record: ``event_flags`` (samples, N), the
+    event log, True where an agent broadcast at that instant; ``states``;
+    ``delta``, ``threshold``, ``w_norm``, ``e_norm``, the trigger quantities
+    as evaluated at each instant's CTC check (pre-reset), which a record
+    reloaded from files has none of; and ``est_series`` when estimates are
+    dumped. Derived from them on access: ``events``, the (t, agent) pairs in
+    time then agent order; ``e_norm_post``, the estimation error after the
+    batch of resets, exactly zero wherever an event fired; ``r_series``, each
+    agent's offset from the leader; and ``dist_series``.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    event_flags: np.ndarray
     v_series: np.ndarray
-    dist_series: np.ndarray
-    delta: np.ndarray | None
-    threshold: np.ndarray | None
-    w_norm: np.ndarray | None
-    e_norm: np.ndarray | None
-    config: object = None
+    per_agent_event_counts: np.ndarray
+    r_norm_sum: float
+    w_max: np.ndarray | None = None
+    min_inter_event: tuple | None = None
+    states: np.ndarray | None = None
+    event_flags: np.ndarray | None = None
+    delta: np.ndarray | None = None
+    threshold: np.ndarray | None = None
+    w_norm: np.ndarray | None = None
+    e_norm: np.ndarray | None = None
     est_series: np.ndarray | None = None
+    config: object = None
     agent_degrees: np.ndarray | None = None
     derived: dict = field(default_factory=dict)
     sync_mismatches: int = 0
@@ -107,10 +121,6 @@ class RunRecord:
         return list(zip(self.times[ks].tolist(), agents.tolist()))
 
     @property
-    def per_agent_event_counts(self) -> np.ndarray:
-        return self.event_flags.sum(axis=0).astype(int)
-
-    @property
     def e_norm_post(self) -> np.ndarray | None:
         if self.e_norm is None:
             return None
@@ -121,22 +131,8 @@ class RunRecord:
         return self.states - self.states[:, :1, :]
 
     @property
-    def r_norm_sum(self) -> float:
-        return float(metrics_mod.r_norms(self.states).sum())
-
-    @property
-    def w_max(self) -> np.ndarray | None:
-        """Each agent's largest |w|; None without the |w| series."""
-        return None if self.w_norm is None else self.w_norm.max(axis=0)
-
-    @property
-    def min_inter_event(self) -> tuple:
-        """Each agent's shortest gap between two of its events; inf below two events."""
-        gaps = []
-        for i in range(self.event_flags.shape[1]):
-            t_events = self.times[self.event_flags[:, i]]
-            gaps.append(float(np.diff(t_events).min()) if len(t_events) > 1 else math.inf)
-        return tuple(gaps)
+    def dist_series(self) -> np.ndarray:
+        return metrics_mod.dist_series(self.states)
 
     @property
     def v_initial(self) -> float:
@@ -151,6 +147,12 @@ class RunRecord:
         return len(self.times) - 1
 
 
+def csv_columns(n_agents: int, n: int, estimates: bool) -> list:
+    """The columns of states.csv: t, every agent's state, then its estimate if dumped."""
+    prefixes = ("x", "xhat") if estimates else ("x",)
+    return ["t"] + [f"{p}{i + 1}_{d + 1}" for p in prefixes for i in range(n_agents) for d in range(n)]
+
+
 class CsvWriter:
     """Appends blocks of rows to ``states.csv`` and ``events.csv`` in ``out_dir``.
 
@@ -163,11 +165,9 @@ class CsvWriter:
     def __init__(self, out_dir, n_agents: int, n: int, estimates: bool):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        cols = [f"x{i + 1}_{d + 1}" for i in range(n_agents) for d in range(n)]
-        if estimates:
-            cols += [f"xhat{i + 1}_{d + 1}" for i in range(n_agents) for d in range(n)]
-        self.row_fmt = ",".join(["%.17g"] * (len(cols) + 1)) + "\n"
-        (self.out / "states.csv").write_text("t," + ",".join(cols) + "\n")
+        cols = csv_columns(n_agents, n, estimates)
+        self.row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+        (self.out / "states.csv").write_text(",".join(cols) + "\n")
         (self.out / "events.csv").write_text("t,agent\n")
 
     def put(self, times, states, flags, est=None) -> None:
@@ -188,54 +188,68 @@ class CsvWriter:
 
 
 class RunSink:
-    """File sink of one prepared run: streams its CSVs, keeps what its summary needs.
+    """The sink of one prepared run, and the one place its summary facts are worked out.
 
-    Kept whole, 8 bytes per sample: V, for the decay fit and its end values.
-    Each agent's distance from the leader is summed as it arrives, in the
-    order of numpy's pairwise sum over the whole (samples, N) array
-    (``metrics.PairwiseSum``), so ``consensus_sum`` has the record's bits. A
-    run cut short by a non-finite state has a shorter sum, whose order is
-    known only then: its distances are read back from the states.csv written
-    so far, whose "%.17g" text gives every double back exactly. Kept per
-    agent: the event counts and, on practical runs, the Zeno guard's running
-    largest |w| and shortest gap between events. A sink that would not fit
-    in memory is refused before its directory is made.
-
-    ``close`` returns the sink, which then stands for the run: it has the
-    fields ``compute_metrics``, ``zeno_guard_report`` and
-    ``write_run_outputs`` read from a ``RunRecord``.
+    ``RunSink(prep, out_dir)`` streams the run's CSVs into ``out_dir`` and
+    keeps only what the summary needs; ``RunSink(prep)`` keeps every sample
+    in memory as well. Kept whole either way, 16 bytes per sample: the times
+    and V, for the decay fit and its end values. Each agent's distance from
+    the leader is summed as it arrives, in the order of numpy's pairwise sum
+    over the whole (samples, N) array (``metrics.PairwiseSum``), so
+    ``r_norm_sum`` has the bits of that sum. A run cut short by a non-finite
+    state has a shorter sum, whose order is known only then: its distances
+    are taken again from the kept states or, streamed, read back from the
+    states.csv written so far, whose "%.17g" text gives every double back
+    exactly. Kept per agent: the event counts and, when the rows carry the
+    |w| the sink asks for (a streamed sink asks on practical runs only), the
+    Zeno guard's running largest |w| and shortest gap between events. A sink
+    that would not fit in memory is refused before its directory is made.
     """
 
-    sync_mismatches = 0
-
-    def __init__(self, prep, out_dir):
-        n_agents = prep.graph.n_agents
+    def __init__(self, prep, out_dir=None):
+        n_agents, dim = prep.x0.shape
         rows = prep.n_steps + 1
-        check_fits(rows, 16, f"duration/h = {prep.n_steps} steps")  # V, and the times made at close
+        dump = prep.cfg.dump_estimates
+        if out_dir is None:
+            self.series = _TRIGGER_SERIES
+            self.keep = ("states", "flags", *_TRIGGER_SERIES) + (("est",) if dump else ())
+            row_bytes = 16 + n_agents * (8 * dim * (2 if dump else 1) + 8 * len(_TRIGGER_SERIES) + 1)
+        else:
+            self.series = ("w_norm",) if prep.cfg.ctc == "practical" else ()
+            self.keep = ()
+            row_bytes = 16
+        check_fits(rows, row_bytes, f"duration/h = {prep.n_steps} steps")
         self.prep = prep
-        self.config = prep.cfg
-        self.csv = CsvWriter(out_dir, n_agents, prep.model.state_dim, prep.cfg.dump_estimates)
-        self.out_dir = self.csv.out
-        self.agent_degrees = degrees(prep.graph)
+        self.csv = None if out_dir is None else CsvWriter(out_dir, n_agents, dim, dump)
+        self.kept = {}
+        self.times = np.empty(rows)
         self.v = np.empty(rows)
         self.r_sum = metrics_mod.PairwiseSum(rows * n_agents)
-        self.per_agent_event_counts = np.zeros(n_agents, dtype=int)
-        practical = prep.cfg.ctc == "practical"
-        self.series = ("w_norm",) if practical else ()  # |w| feeds the Zeno guard
-        self.w_max = np.full(n_agents, -np.inf) if practical else None
+        self.counts = np.zeros(n_agents, dtype=int)
+        self.w_max = None
         self.last = [None] * n_agents
         self.gaps = [math.inf] * n_agents
         self.n = 0
 
     def put(self, rows: dict) -> None:
+        """Take the next samples: ``times``, ``states``, ``flags``, and any named series."""
         times, states, flags = rows["times"], rows["states"], rows["flags"]
         span = slice(self.n, self.n + len(times))
-        self.csv.put(times, states, flags, rows.get("est") if self.config.dump_estimates else None)
+        if self.csv is not None:
+            self.csv.put(times, states, flags, rows.get("est") if self.prep.cfg.dump_estimates else None)
+        for name in self.keep:
+            if name in rows:  # a series that never arrives stays None in the record
+                if name not in self.kept:
+                    a = rows[name]
+                    self.kept[name] = np.empty((len(self.v), *a.shape[1:]), a.dtype)
+                self.kept[name][span] = rows[name]
+        self.times[span] = times
         self.r_sum.add(metrics_mod.r_norms(states))
         metrics_mod.v_series(states, self.prep.cert.P, out=self.v[span])
-        self.per_agent_event_counts += flags.sum(axis=0)
-        if self.w_max is not None:
-            np.maximum(self.w_max, rows["w_norm"].max(axis=0), out=self.w_max)
+        self.counts += flags.sum(axis=0)
+        if "w_norm" in rows and "w_norm" in self.series:
+            w_max = rows["w_norm"].max(axis=0)
+            self.w_max = w_max if self.w_max is None else np.maximum(self.w_max, w_max)
             ks, agents = np.nonzero(flags)
             for t, i in zip(times[ks].tolist(), agents.tolist()):
                 if self.last[i] is not None:
@@ -243,49 +257,50 @@ class RunSink:
                 self.last[i] = t
         self.n = span.stop
 
-    def close(self, runtime: float, error: str | None = None) -> RunSink:
-        n = self.n
-        self.times = np.arange(n) * self.config.h
-        self.v_series = self.v[:n]
-        if self.r_sum.total is not None:
-            self.r_norm_sum = float(self.r_sum.total)
-        else:
-            n_agents, dim = self.prep.x0.shape
-            with (self.out_dir / "states.csv").open() as fh:
-                next(fh)
-                rows = [[float(v) for v in line.split(",")[1 : 1 + n_agents * dim]] for line in fh]
-            states = np.array(rows).reshape(-1, n_agents, dim)
-            self.r_norm_sum = float(metrics_mod.r_norms(states).sum())
-        self.min_inter_event = None if self.w_max is None else tuple(self.gaps)
-        self.derived = derived_constants(self.prep)
-        self.runtime_seconds = runtime
-        self.error = error
-        return self
-
-    @property
-    def v_initial(self) -> float:
-        return float(self.v_series[0])
-
-    @property
-    def v_final(self) -> float:
-        return float(self.v_series[-1])
+    def close(self, runtime: float, error: str | None = None) -> RunRecord:
+        n, prep = self.n, self.prep
+        kept = {name: a[:n] for name, a in self.kept.items()}
+        r_norm_sum = self.r_sum.total
+        if r_norm_sum is None:
+            if self.csv is None:
+                states = kept["states"]
+            else:
+                states = _read_states(self.csv.out / "states.csv", prep)[1]
+            r_norm_sum = metrics_mod.r_norms(states).sum()
+        return RunRecord(
+            times=self.times[:n],
+            v_series=self.v[:n],
+            per_agent_event_counts=self.counts,
+            r_norm_sum=float(r_norm_sum),
+            w_max=self.w_max,
+            min_inter_event=None if self.w_max is None else tuple(self.gaps),
+            states=kept.get("states"),
+            event_flags=kept.get("flags"),
+            **{name: kept.get(name) for name in _TRIGGER_SERIES},
+            est_series=kept.get("est"),
+            config=prep.cfg,
+            agent_degrees=degrees(prep.graph),
+            derived=derived_constants(prep),
+            runtime_seconds=runtime,
+            error=error,
+        )
 
 
 def write_run_outputs(
-    record: RunRecord | RunSink,
+    record: RunRecord,
     out_dir,
     extra_summary: dict | None = None,
     report: metrics_mod.MetricReport | None = None,
 ) -> Path:
-    """Write states.csv, events.csv and summary.json into ``out_dir``.
+    """Write summary.json into ``out_dir``, after the CSVs of a record that kept its samples.
 
-    A ``RunRecord`` goes through the CSV writer in blocks of rows; a closed
-    ``RunSink`` has written its CSVs there already, so only its summary is.
-    ``report`` is the record's metric report when the caller already has
-    it; otherwise it is computed here.
+    A streamed record's CSVs are in its directory already. Kept samples go
+    through the CSV writer in blocks of rows. ``report`` is the record's
+    metric report when the caller already has it; otherwise it is computed
+    here.
     """
     out = Path(out_dir)
-    if isinstance(record, RunRecord):
+    if record.states is not None:
         est = record.est_series
         writer = CsvWriter(out, *record.states.shape[1:], est is not None)
         for start in range(0, len(record.times), _WRITE_BLOCK):
@@ -313,60 +328,56 @@ def write_run_outputs(
     return out
 
 
-def load_run_record(run_dir) -> RunRecord:
-    """Rebuild a metrics-grade record from states.csv, events.csv, summary.json.
+def _read_states(path: Path, prep) -> tuple:
+    """(times, states) of a states.csv written for ``prep``; a ConfigError naming it if malformed."""
+    n_agents, dim = prep.x0.shape
+    header = ",".join(csv_columns(n_agents, dim, prep.cfg.dump_estimates)) + "\n"
+    try:
+        with path.open() as fh:
+            if fh.readline() != header:
+                raise ValueError(f"its header is not {header.strip()!r}")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if not 0 < len(data) <= prep.n_steps + 1 or data.shape[1] != header.count(",") + 1:
+            raise ValueError(f"it holds {data.shape} values, not up to duration/h + 1 full rows")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path} is not the states of its run: {exc}") from None
+    return data[:, 0], data[:, 1 : 1 + n_agents * dim].reshape(-1, n_agents, dim)
 
-    The trigger series are not written, so the record has none (None).
+
+def load_run_record(run_dir) -> RunRecord:
+    """Rebuild a metrics-grade record from states.csv, events.csv and summary.json.
+
+    The rows go through an in-memory ``RunSink`` of the config in
+    summary.json. The trigger series are not written, so the record has none
+    (None). A missing or malformed file is a ConfigError naming it.
     """
-    from .simulator import SimConfig
+    from .config import prepare_dict
 
     run_dir = Path(run_dir)
-    states_path = run_dir / "states.csv"
-    if not states_path.exists():
-        raise ConfigError(f"{states_path} not found; not a run output directory")
-    raw = np.genfromtxt(states_path, delimiter=",", names=True)
-    names = list(raw.dtype.names)
-    times = np.asarray(raw["t"], dtype=float).reshape(-1)
-    state_cols = [c for c in names if c.startswith("x") and not c.startswith("xhat")]
-    agents = sorted({int(c[1:].split("_")[0]) for c in state_cols})
-    dims = sorted({int(c.split("_")[1]) for c in state_cols})
-    n_agents, n = len(agents), len(dims)
-    states = np.empty((times.size, n_agents, n))
-    for i in agents:
-        for d in dims:
-            states[:, i - 1, d - 1] = np.asarray(raw[f"x{i}_{d}"], dtype=float).reshape(-1)
+    path = run_dir / "summary.json"
+    try:
+        config = json.loads(path.read_text())["config"]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"{path} is not the summary of a run output directory: {exc}") from None
+    try:
+        prep = prepare_dict(config)
+    except EtcError as exc:
+        raise ConfigError(f"{path} holds no valid run config: {exc}") from None
+    times, states = _read_states(run_dir / "states.csv", prep)
 
-    flags = np.zeros((times.size, n_agents), dtype=bool)
-    h = times[1] - times[0] if times.size > 1 else 1.0
-    ev_path = run_dir / "events.csv"
-    if ev_path.exists():
-        for line in ev_path.read_text().splitlines()[1:]:
-            if not line.strip():
-                continue
-            t_str, agent_str = line.split(",")
-            flags[int(round(float(t_str) / h)), int(agent_str) - 1] = True
+    flags = np.zeros(states.shape[:2], dtype=bool)
+    path = run_dir / "events.csv"
+    try:
+        for line in path.read_text().splitlines()[1:]:
+            if line.strip():
+                t, agent = line.split(",")
+                k, i = round(float(t) / prep.cfg.h), int(agent) - 1
+                if not (0 <= k < len(flags) and 0 <= i < flags.shape[1]):
+                    raise ValueError(f"no sample at t = {t} of agent {agent}")
+                flags[k, i] = True
+    except (OSError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{path} is not the event log of its run: {exc}") from None
 
-    summary_path = run_dir / "summary.json"
-    cfg = None
-    P = np.eye(n)
-    agent_degrees = None
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text())
-        if summary.get("config"):
-            cfg = SimConfig(**summary["config"])
-            P = np.asarray(cfg.P, dtype=float)
-            agent_degrees = degrees(Graph.from_edges(cfg.n_agents, cfg.edges))
-
-    return RunRecord(
-        times=times,
-        states=states,
-        event_flags=flags,
-        v_series=metrics_mod.v_series(states, P),
-        dist_series=metrics_mod.dist_series(states),
-        delta=None,
-        threshold=None,
-        w_norm=None,
-        e_norm=None,
-        config=cfg,
-        agent_degrees=agent_degrees,
-    )
+    sink = RunSink(prep)
+    sink.put({"times": times, "states": states, "flags": flags})
+    return sink.close(0.0)

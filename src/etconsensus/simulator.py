@@ -39,11 +39,10 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from .control import (  # the Zeno guard is part of this module's API
     TriggerParams,
     TriggerState,
@@ -60,9 +59,7 @@ from .integrate import INTEGRATORS
 from .lockstep import Lockstep, lockstep
 from .outputs import (  # records and their files are part of this module's API
     RunRecord,
-    check_fits,
-    degrees,
-    derived_constants,
+    RunSink,
     load_run_record,
     write_run_outputs,
 )
@@ -108,7 +105,7 @@ class SimConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        """Canonical JSON-ready form with a fixed key order."""
+        """JSON-ready form, one key per field."""
 
         def plain(v):
             if isinstance(v, np.ndarray):
@@ -119,31 +116,7 @@ class SimConfig:
                 return [plain(u) for u in v]
             return v
 
-        keys = (
-            "model",
-            "theta",
-            "theta_hat",
-            "n_agents",
-            "edges",
-            "x0",
-            "h",
-            "duration",
-            "integrator",
-            "ctc",
-            "kappa1",
-            "kappa2",
-            "sigma",
-            "b",
-            "epsilon",
-            "xi",
-            "P",
-            "rho",
-            "q",
-            "dump_estimates",
-            "check_synchrony",
-            "seed",
-        )
-        return {k: plain(getattr(self, k)) for k in keys}
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,6 +150,8 @@ def _check_field_types(cfg: SimConfig) -> None:
     """Reject a wrong type or a non-finite number before any field is used."""
     if not _is_int(cfg.n_agents) or cfg.n_agents < 1:
         raise ConfigError(f"n_agents must be a positive integer, got {cfg.n_agents!r}")
+    if not _is_int(cfg.seed):
+        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
     if not isinstance(cfg.model, str):
         raise ConfigError(f"model must be a model name, got {cfg.model!r}")
     for name in ("dump_estimates", "check_synchrony"):
@@ -403,6 +378,8 @@ def _banks_synchronized(banks: list[EstimatorBank], groups: tuple) -> bool:
     return True
 
 
+# The run path does not call this: the benchmark's tracing wraps it by name, and the
+# bank-form test reference and the Zeno guard tests build their records through it.
 def _assemble_record(
     prep: Prepared,
     times,
@@ -416,63 +393,12 @@ def _assemble_record(
     runtime,
     error=None,
 ) -> RunRecord:
-    states = np.asarray(states)
-    return RunRecord(
-        times=np.asarray(times),
-        states=states,
-        event_flags=np.asarray(flags),
-        v_series=metrics_mod.v_series(states, prep.cert.P),
-        dist_series=metrics_mod.dist_series(states),
-        delta=np.asarray(delta),
-        threshold=np.asarray(threshold),
-        w_norm=np.asarray(w_norm),
-        e_norm=np.asarray(e_norm),
-        config=prep.cfg,
-        est_series=None if est_series is None else np.asarray(est_series),
-        agent_degrees=degrees(prep.graph),
-        derived=derived_constants(prep),
-        runtime_seconds=runtime,
-        error=error,
-    )
-
-
-_SERIES = ("delta", "threshold", "w_norm", "e_norm")
-
-
-class _Collect:
-    """Sink that keeps every row of one run, for its RunRecord."""
-
-    series = _SERIES
-
-    def __init__(self, prep: Prepared):
-        n_agents, n = prep.x0.shape
-        copies = 2 if prep.cfg.dump_estimates else 1
-        rows = prep.n_steps + 1
-        check_fits(rows, 8 + n_agents * (8 * n * copies + 8 * len(_SERIES) + 1),
-                   f"duration/h = {prep.n_steps} steps")
-        self.prep = prep
-        self.n = 0
-        self.arrays = {
-            "times": np.empty(rows),
-            "states": np.empty((rows, n_agents, n)),
-            "flags": np.zeros((rows, n_agents), dtype=bool),
-            **{name: np.empty((rows, n_agents)) for name in _SERIES},
-        }
-        if prep.cfg.dump_estimates:
-            self.arrays["est"] = np.empty((rows, n_agents, n))
-
-    def put(self, rows: dict) -> None:
-        span = slice(self.n, self.n + len(rows["times"]))
-        for name, a in self.arrays.items():
-            a[span] = rows[name]
-        self.n = span.stop
-
-    def close(self, runtime: float, error: str | None = None) -> RunRecord:
-        a = {name: v[: self.n] for name, v in self.arrays.items()}
-        return _assemble_record(
-            self.prep, a["times"], a["states"], a["flags"], *(a[s] for s in _SERIES),
-            a.get("est"), runtime, error,
-        )
+    """The record of a run's complete rows, fed through an in-memory ``RunSink`` in one block."""
+    rows = {"times": times, "states": states, "flags": flags, "delta": delta,
+            "threshold": threshold, "w_norm": w_norm, "e_norm": e_norm, "est": est_series}
+    sink = RunSink(prep)
+    sink.put({name: np.asarray(a) for name, a in rows.items() if a is not None})
+    return sink.close(runtime, error)
 
 
 class _Buffer:
@@ -494,7 +420,8 @@ class _Buffer:
         }
         get = self.arrays.get
         self.states, self.flags, self.est = get("states"), get("flags"), get("est")
-        self.delta, self.threshold, self.w_norm, self.e_norm = (get(s) for s in _SERIES)
+        self.delta, self.threshold = get("delta"), get("threshold")
+        self.w_norm, self.e_norm = get("w_norm"), get("e_norm")
         self.h = core.h
         self.members = tuple(zip(sinks, core.member_rows))
         self.k0 = k0
@@ -557,15 +484,16 @@ def run_batch(preps, sinks=None) -> list:
     (``times``, ``states``, ``flags``, the trigger series any sink names in
     its ``series``, and ``est`` when any member dumps estimates), and
     ``sink.close(runtime, error)`` gives the member's result. Without sinks
-    every member is collected into a ``RunRecord``. A member that becomes
+    every member is kept in memory by an ``outputs.RunSink`` and comes back as
+    its ``RunRecord``. A member that becomes
     non-finite is closed after its last finite row with the error its solo
     run raises, and leaves the batch; the others carry on. Returns the
     results in member order; ``runtime`` is the batch's loop time up to the
     member's close.
     """
     preps = list(preps)
-    sinks = [_Collect(p) for p in preps] if sinks is None else list(sinks)
-    names = ("states", "flags") + tuple(s for s in _SERIES if any(s in k.series for k in sinks))
+    sinks = [RunSink(p) for p in preps] if sinks is None else list(sinks)
+    names = ("states", "flags", *dict.fromkeys(s for k in sinks for s in k.series))
     if any(p.cfg.dump_estimates for p in preps):
         names += ("est",)
     results = [None] * len(preps)

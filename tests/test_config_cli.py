@@ -17,7 +17,6 @@ from etconsensus.config import (
     load_config,
     load_preset,
     preset_config,
-    serialize_config,
 )
 from etconsensus.errors import ConfigError
 
@@ -57,7 +56,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_serialize_round_trips(self, name):
         cfg = config_from_dict(preset_config(name))
-        assert serialize_config(cfg) == preset_config(name)
+        assert cfg.to_dict() == preset_config(name)
 
     def test_preset_fields(self):
         zeno = preset_config("paper-zeno-040")
@@ -76,7 +75,7 @@ class TestPresets:
 
     def test_load_preset_returns_the_prepared_preset(self):
         prep = load_preset("paper-asym-040", duration=2.0)
-        assert serialize_config(prep.cfg) == {**preset_config("paper-asym-040"), "duration": 2.0}
+        assert prep.cfg.to_dict() == {**preset_config("paper-asym-040"), "duration": 2.0}
         assert prep.n_steps == 200
 
 
@@ -152,6 +151,11 @@ class TestConfigFiles:
             ("h", 0.03),  # 10 s is not a whole number of steps
             ("duration", 10.005),
             ("P", [[1.0]]),
+            ("seed", "abc"),
+            ("seed", [1, 2]),
+            ("seed", None),
+            ("seed", 1.5),
+            ("seed", True),
         ],
     )
     def test_malformed_value_exits_2_naming_field(self, field, value, tmp_path, capsys):
@@ -333,6 +337,40 @@ class TestMetricsCommand:
 
     def test_rejects_non_run_directory(self, tmp_path):
         assert main(["metrics", "--run", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("chi", ["nan", "inf", "-1"])
+    def test_bad_chi_exits_2_naming_it(self, chi, short_run, tmp_path, capsys):
+        mout = tmp_path / "m"
+        assert main(["metrics", "--run", str(short_run), "--chi", chi, "--out", str(mout)]) == 2
+        assert "--chi" in capsys.readouterr().err
+        assert not mout.exists()
+
+    @pytest.mark.parametrize(
+        "name,damage",
+        [
+            ("summary.json", None),
+            ("summary.json", lambda text: text.replace('"seed"', '"sead"')),
+            ("summary.json", lambda text: text[:-10]),
+            ("events.csv", lambda text: text + "0.5;2\n"),
+            ("events.csv", lambda text: text + "0.1,9\n"),
+            ("states.csv", lambda text: text + "0.51,1,2\n"),
+        ],
+    )
+    def test_malformed_run_directory_exits_2_naming_the_file(
+        self, name, damage, short_run, tmp_path, capsys
+    ):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for f in ("states.csv", "events.csv", "summary.json"):
+            (run_dir / f).write_text((short_run / f).read_text())
+        if damage is None:
+            (run_dir / name).unlink()
+        else:
+            (run_dir / name).write_text(damage((run_dir / name).read_text()))
+        assert main(["metrics", "--run", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(run_dir / name) in err
 
 
 class TestPlotdata:

@@ -23,21 +23,16 @@ def synthetic_record(
     h = times[1] - times[0] if k > 1 else 1.0
     for t, a in events:
         flags[int(round(t / h)), a] = True
+    rf = states[:, 1:, :] - states[:, :1, :]
     if v_series is None:
-        rf = states[:, 1:, :] - states[:, :1, :]
         v_series = np.einsum("kin,in->k", rf * rf, np.ones((n_agents - 1, states.shape[2])))
-    centered = states - states.mean(axis=1, keepdims=True)
-    zeros = np.zeros((k, n_agents))
     return RunRecord(
         times=times,
+        v_series=np.asarray(v_series, dtype=float),
+        per_agent_event_counts=flags.sum(axis=0),
+        r_norm_sum=float(np.sqrt((rf * rf).sum(axis=2)).sum()),
         states=states,
         event_flags=flags,
-        v_series=np.asarray(v_series, dtype=float),
-        dist_series=(centered * centered).sum(axis=(1, 2)),
-        delta=zeros,
-        threshold=zeros,
-        w_norm=zeros,
-        e_norm=zeros,
         agent_degrees=None if degrees is None else np.asarray(degrees, dtype=int),
     )
 
