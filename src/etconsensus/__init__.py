@@ -26,7 +26,6 @@ from .dynamics import (
     available_models,
     check_cmf,
     estimate_lipschitz,
-    eval_f,
     make_model,
     register_model,
     trig_grid,
@@ -70,7 +69,6 @@ __all__ = [
     "available_models",
     "check_cmf",
     "estimate_lipschitz",
-    "eval_f",
     "make_model",
     "register_model",
     "trig_grid",

@@ -25,7 +25,7 @@ from .config import (
 from .control import practical_consensus_bound
 from .dynamics import check_cmf, estimate_lipschitz, trig_grid
 from .errors import ConfigError, EtcError, NumericsError
-from .lockstep import SHARED_FIELDS, batch_key
+from .lockstep import SHARED_FIELDS
 from .metrics import MetricReport, compute_metrics, markdown_tables
 from .outputs import RunSink, check_fits, csv_columns
 from .simulator import (
@@ -165,36 +165,20 @@ def _sweep_points(grid: dict, limit: int | None) -> list:
 
 
 def _sweep_batch(items) -> list:
-    """Run sweep points: [(slug, metric report, None) or (slug, None, (exit code, message))].
+    """Run one chunk of sweep points: [(slug, report, None) or (slug, None, (exit code, message))].
 
-    Every point is prepared on its own, so a bad one fails alone; the points
-    that share a ``batch_key`` then run in lockstep, one batch at a time.
-    """
-    results = []
-    groups: dict = {}
-    for slug, config_dict, out_dir in items:
-        try:
-            prep = prepare_dict(config_dict)
-        except EtcError as exc:
-            results.append((slug, None, (2, str(exc))))
-            continue
-        groups.setdefault(batch_key(prep), []).append((slug, prep, Path(out_dir) / slug))
-    for group in groups.values():
-        results += _sweep_group(group)
-    return results
-
-
-def _sweep_group(group: list) -> list:
-    """Open, run in lockstep and close the points of one batch; their result triples.
-
-    Its sinks live only as long as this call, so one batch's are held at a time.
+    Every point is prepared on its own, so a bad one fails alone; the rest
+    are opened, run in lockstep as one batch and closed. ``_sub_batches``
+    gave them equal ``SHARED_FIELDS``, so they share what ``lockstep`` needs.
+    The sinks live only as long as this call, so one chunk's are held at a time.
     """
     results = []
     known = {}
     estimated = []
-    for slug, prep, out in group:
+    for slug, config_dict, out_dir in items:
         try:
-            estimated.append((slug, prep, _lipschitz(prep, known), out))
+            prep = prepare_dict(config_dict)
+            estimated.append((slug, prep, _lipschitz(prep, known), Path(out_dir) / slug))
         except EtcError as exc:
             results.append((slug, None, (2, str(exc))))
     opened = []
@@ -220,12 +204,13 @@ def _sweep_group(group: list) -> list:
 
 
 def _sub_batches(items: list, jobs: int) -> list:
-    """Split the points into up to ``jobs`` chunks per likely batch.
+    """Split the points into up to ``jobs`` chunks per lockstep batch.
 
-    Points are grouped by the raw fields ``batch_key`` is made of, before any
-    is validated; ``_sweep_batch`` prepares a chunk's points and groups them
-    exactly. The chunks go to the worker pool, or run one after another at
-    ``--jobs 1``, so that only one chunk's points are held at a time.
+    Points are grouped by their raw ``SHARED_FIELDS`` values, before any is
+    validated. Equal raw values prepare into equal lockstep fields, so a
+    chunk's points that prepare always step as one batch (an int P and its
+    float twin merely land apart). The chunks go to the worker pool, or run
+    one after another at ``--jobs 1``, so only one chunk's points are held at a time.
     """
     groups: dict = {}
     for item in items:
@@ -270,7 +255,8 @@ def cmd_sweep(args) -> int:
     chunks = _sub_batches(items, args.jobs)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # A fork-started pool forks all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(chunks))) as pool:
             results = [r for rs in pool.map(_sweep_batch, chunks) for r in rs]
     else:
         results = [r for chunk in chunks for r in _sweep_batch(chunk)]
@@ -335,9 +321,10 @@ def cmd_check_cmf(args) -> int:
 def cmd_metrics(args) -> int:
     if not (math.isfinite(args.chi) and args.chi >= 0.0):
         raise ConfigError(f"--chi must be a finite number >= 0, got {args.chi!r}")
+    names = [Path(run_dir).name or str(run_dir) for run_dir in args.run]
     reports = {}
-    for run_dir in args.run:
-        label = Path(run_dir).name or str(run_dir)
+    for run_dir, name in zip(args.run, names):
+        label = name if names.count(name) == 1 else str(run_dir)
         reports[label] = compute_metrics(load_run_record(run_dir), chi=args.chi)
     text = markdown_tables(reports)
     print(text)

@@ -7,8 +7,10 @@ because Laplacian rows sum to zero.
 
 Triggering compares delta_i = e_i' S_i e_i + |w_i' R_i e_i| against the
 threshold sigma_i * w_i' Theta_i w_i, plus a constant relaxation xi in the
-practical variant. S_i's scalar coefficient is used exactly as derived, with
-no clamping: a negative coefficient only delays triggering.
+practical variant. S_i, Theta_i and R_i are s_i Q, theta_i Q and 2 kappa Q
+for one Q = P B B' P, so only Q and the coefficients are stored. S_i's
+coefficient is used exactly as derived, with no clamping: a negative
+coefficient only delays triggering.
 
 The Zeno guard holds a practical-CTC run record's measured inter-event gaps
 against the analytic lower bound tau_i.
@@ -32,27 +34,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class TriggerParams:
-    """Trigger gains and the per-agent matrices R_i, Theta_i, S_i.
+    """Trigger gains, and the coefficients of S_i = s_i Q and Theta_i = theta_i Q.
 
-    The scalar coefficients multiplying P B B' P are kept alongside the full
-    matrices so they can be audited and dumped to run summaries.
+    ``Q`` is P B B' P; R_i = 2 kappa Q for every agent.
     """
 
-    kappa1: float
-    kappa2: float
     kappa: float
     sigma: np.ndarray
     b: np.ndarray
-    epsilon: float
     xi: float
-    R: tuple[np.ndarray, ...]
-    Theta: tuple[np.ndarray, ...]
-    S: tuple[np.ndarray, ...]
     s_coeff: np.ndarray
     theta_coeff: np.ndarray
-    P: np.ndarray
     B: np.ndarray
     BtP: np.ndarray
+    Q: np.ndarray
 
 
 @dataclass
@@ -101,7 +96,7 @@ def build_trigger_params(
     b=None,
     xi: float = 0.0,
 ) -> TriggerParams:
-    """Assemble gains and the R_i, Theta_i, S_i matrices for one topology."""
+    """Assemble gains and the coefficients of S_i and Theta_i for one topology."""
     if kappa1 <= 0.0:
         raise ConfigError(f"kappa1 must be > 0, got {kappa1!r}")
     if kappa2 <= 0.0:
@@ -122,7 +117,7 @@ def build_trigger_params(
     b = _vector_param(b, n_agents, "b", 0.0, 1.0 / (2.0 * l_diag))
 
     kappa = kappa1 + kappa2
-    pbbp = P @ B @ B.T @ P
+    Q = P @ B @ B.T @ P
     eps = lap.epsilon
     theta_coeff = 2.0 * kappa2 * eps * (1.0 - 2.0 * l_diag * b)
     s_coeff = (
@@ -130,28 +125,19 @@ def build_trigger_params(
         + 2.0 * kappa * l_diag / b
         + kappa2 * eps * (4.0 * l_diag / b - n_agents * lap.M * (b / 2.0 + 1.0 / (2.0 * b)))
     )
-    R = tuple(2.0 * kappa * pbbp for _ in range(n_agents))
-    Theta = tuple(theta_coeff[i] * pbbp for i in range(n_agents))
-    S = tuple(s_coeff[i] * pbbp for i in range(n_agents))
-    negative = np.flatnonzero(eigvalsh(np.stack(Theta))[:, 0] < -1e-12)
+    negative = np.flatnonzero(eigvalsh(theta_coeff[:, None, None] * Q)[:, 0] < -1e-12)
     if negative.size:
         raise ConfigError(f"Theta[{negative[0]}] is not positive semidefinite")
     return TriggerParams(
-        kappa1=float(kappa1),
-        kappa2=float(kappa2),
         kappa=float(kappa),
         sigma=sigma,
         b=b,
-        epsilon=float(eps),
         xi=float(xi),
-        R=R,
-        Theta=Theta,
-        S=S,
         s_coeff=s_coeff,
         theta_coeff=theta_coeff,
-        P=P,
         B=B,
         BtP=B.T @ P,
+        Q=Q,
     )
 
 
@@ -242,8 +228,8 @@ def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -
             tau = tau_lower_bound(
                 lipschitz.k,
                 nu,
-                spectral_norm(params.S[i]),
-                spectral_norm(params.R[i]),
+                spectral_norm(params.s_coeff[i] * params.Q),
+                spectral_norm(2.0 * params.kappa * params.Q),
                 w_max,
                 params.xi,
             )

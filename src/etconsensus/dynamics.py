@@ -37,6 +37,10 @@ from .linalg import eigvalsh, is_symmetric, spectral_norm
 
 # Grid points per vectorized pass of check_cmf and estimate_lipschitz.
 _GRID_CHUNK = 1024
+# check_cmf's certificate holds while the worst margin stays at or below this.
+CMF_TOLERANCE = 1e-9
+# estimate_lipschitz inflates the grid maxima k and Delta by this factor.
+LIPSCHITZ_SAFETY = 1.05
 
 
 @dataclass(frozen=True)
@@ -90,17 +94,6 @@ def _as_theta(model: SystemModel, theta) -> np.ndarray:
             f"theta must have shape ({model.param_dim},), got {th.shape}"
         )
     return th
-
-
-def eval_f(model: SystemModel, x, theta) -> np.ndarray:
-    """Evaluate the drift at one state or a batch of states (last axis = state)."""
-    th = _as_theta(model, theta)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != model.state_dim:
-        raise ModelError(
-            f"state must have trailing dimension {model.state_dim}, got shape {x.shape}"
-        )
-    return model.f(x, th)
 
 
 # --- model registry ---------------------------------------------------------
@@ -169,9 +162,9 @@ def _build_paper_sys(theta=None, theta_hat=None) -> SystemModel:
 register_model("paper-sys", _build_paper_sys)
 
 
-def trig_grid(step: float = 0.05, bound: float = math.pi) -> np.ndarray:
-    """Uniform grid over [-bound, bound]^2, returned as an (K, 2) array."""
-    axis = np.arange(-bound, bound + 1e-9, step)
+def trig_grid(step: float = 0.05) -> np.ndarray:
+    """Uniform grid over [-pi, pi]^2, returned as an (K, 2) array."""
+    axis = np.arange(-math.pi, math.pi + 1e-9, step)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     return np.stack([g1.ravel(), g2.ravel()], axis=1)
 
@@ -216,14 +209,12 @@ class CmfReport:
 class CmfCertificate:
     """Candidate decay certificate (P, rho, q) for a model.
 
-    P must be symmetric positive definite, rho >= 0 and q > 0. The report of
-    the most recent ``check_cmf`` call is stored on ``sample_report``.
+    P must be symmetric positive definite, rho >= 0 and q > 0.
     """
 
     P: np.ndarray
     rho: float
     q: float
-    sample_report: CmfReport | None = None
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
@@ -243,13 +234,12 @@ def check_cmf(
     cert: CmfCertificate,
     states: np.ndarray,
     thetas=None,
-    tolerance: float = 1e-9,
 ) -> CmfReport:
     """Sample the decay inequality on a state/parameter grid.
 
     Returns a report whose ``worst_margin`` is the largest eigenvalue of
     J' P + P J - rho P B B' P + q P seen anywhere on the grid; the
-    certificate holds when that value stays at or below ``tolerance``. The
+    certificate holds when that value stays at or below ``CMF_TOLERANCE``. The
     worst point is the first strict maximum in theta-major, then grid order;
     a NaN margin is never the worst.
     """
@@ -271,15 +261,13 @@ def check_cmf(
             if m[i] > worst:
                 worst = float(m[i])
                 worst_point = (tuple(float(v) for v in xs[i]), tuple(float(v) for v in th))
-    report = CmfReport(
-        holds=bool(worst <= tolerance),
+    return CmfReport(
+        holds=bool(worst <= CMF_TOLERANCE),
         worst_margin=float(worst),
         worst_point=worst_point,
-        tolerance=tolerance,
+        tolerance=CMF_TOLERANCE,
         n_points=len(thetas) * states.shape[0],
     )
-    cert.sample_report = report
-    return report
 
 
 # --- Lipschitz data ----------------------------------------------------------
@@ -289,22 +277,20 @@ def check_cmf(
 class LipschitzData:
     """Grid bounds on the drift: k for the Jacobian norm, Delta for mismatch drift.
 
-    ``k`` and ``Delta`` include the safety factor; the raw grid maxima are
-    kept alongside for diagnostics.
+    ``k`` and ``Delta`` include the factor ``LIPSCHITZ_SAFETY``; the raw grid
+    maxima are kept alongside for diagnostics.
     """
 
     k: float
     Delta: float
     k_grid_max: float
     delta_grid_max: float
-    safety: float
 
 
 def estimate_lipschitz(
     model: SystemModel,
     states: np.ndarray,
     thetas=None,
-    safety: float = 1.05,
 ) -> LipschitzData:
     """Bound the state Lipschitz constant and the parameter-mismatch drift."""
     states = _grid(model, states)
@@ -326,9 +312,8 @@ def estimate_lipschitz(
         drift_max.append(np.sqrt((drift * drift).sum(axis=1)).max())
     delta_raw = float(np.max(drift_max))
     return LipschitzData(
-        k=safety * k_raw,
-        Delta=safety * delta_raw,
+        k=LIPSCHITZ_SAFETY * k_raw,
+        Delta=LIPSCHITZ_SAFETY * delta_raw,
         k_grid_max=float(k_raw),
         delta_grid_max=delta_raw,
-        safety=safety,
     )

@@ -97,7 +97,6 @@ class Laplacian:
     """
 
     L: np.ndarray
-    l22: np.ndarray
     mu: float
     lambda_max: float
     epsilon: float
@@ -123,7 +122,6 @@ def build_laplacian(graph: Graph, epsilon: float | None = None) -> Laplacian:
     M = (L * L).sum(axis=1)
     return Laplacian(
         L=L,
-        l22=L[1:, 1:].copy(),
         mu=mu,
         lambda_max=lambda_max,
         epsilon=epsilon,

@@ -166,10 +166,8 @@ def spectral_norm(a: np.ndarray) -> float | np.ndarray:
     return float(norm) if norm.ndim == 0 else norm
 
 
-def is_symmetric(a: np.ndarray, tol: float = 0.0) -> bool:
+def is_symmetric(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    if tol == 0.0:
-        return bool(np.array_equal(a, a.T))
-    return bool(np.abs(a - a.T).max() <= tol)
+    return bool(np.array_equal(a, a.T))

@@ -30,10 +30,11 @@ class Lockstep(SimpleNamespace):
     entries as (g, 1, k). ``inv`` maps each row to its place in group order.
     ``theta_rows`` (2R, p) is the parameter of each row of the stacked state
     [x; xhat]: theta_true for the true states, theta_hat for the estimates.
-    ``Q`` is P B B' P, the matrix behind every trigger quadratic form;
-    ``BtPt`` and ``Bt`` are (B'P)' and B'. The trigger coefficients are per
-    row: ``s_coeff``, ``sig_theta`` = sigma theta_coeff, ``two_kappa`` =
-    2 kappa and ``xi``; ``neg_kappa`` = -kappa is a column over the followers.
+    ``Q`` is the runs' shared ``TriggerParams.Q`` = P B B' P, the matrix
+    behind every trigger quadratic form; ``BtPt`` and ``Bt`` are (B'P)' and
+    B'. The trigger coefficients are per row: ``s_coeff``, ``sig_theta`` =
+    sigma theta_coeff, ``two_kappa`` = 2 kappa and ``xi``; ``neg_kappa`` =
+    -kappa is a column over the followers.
     """
 
 
@@ -84,20 +85,15 @@ _SHARED = (
 SHARED_FIELDS = tuple(field for field, _, _ in _SHARED)
 
 
-def batch_key(prep) -> tuple:
-    """Runs with equal keys can step in lockstep: same model, integrator, h, steps, N and P."""
-    return tuple(get(prep) for _, _, get in _SHARED)
-
-
 def lockstep(preps) -> Lockstep:
     """The step-loop core of prepared runs: their disjoint union, stepped as one run.
 
-    Edges, x0, parameters and gains may differ between the members; what
-    ``batch_key`` holds must not. Agent i of member b becomes row b for the
-    leader and B + b (N - 1) + i - 1 for a follower; that map keeps each
-    member's agent order, so every neighbourhood product runs over the same
-    terms in the same order as in the member's own layout, and a single
-    run's rows are its agents.
+    Edges, x0, parameters and gains may differ between the members; model,
+    integrator, h, step count, N and P must not (UsageError). Agent i of
+    member b becomes row b for the leader and B + b (N - 1) + i - 1 for a
+    follower; that map keeps each member's agent order, so every
+    neighbourhood product runs over the same terms in the same order as in
+    the member's own layout, and a single run's rows are its agents.
     """
     preps = list(preps)
     first = preps[0]
@@ -118,12 +114,11 @@ def lockstep(preps) -> Lockstep:
     params = [p.params for p in preps]
     kappa = np.array([q.kappa for q in params])
     theta = np.stack([np.stack((p.model.theta_true, p.model.theta_hat)) for p in preps])
-    P, B = first.params.P, first.params.B
     return Lockstep(
         x0=np.stack([p.x0 for p in preps])[owner, agent],
         **layout(members, coeffs, first.model.state_dim),
         theta_rows=np.concatenate((theta[owner, 0], theta[owner, 1])),
-        Q=P @ B @ B.T @ P,
+        Q=first.params.Q,
         BtPt=first.params.BtP.T,
         Bt=first.model.B.T,
         neg_kappa=(-kappa)[owner[n_members:], None],

@@ -57,9 +57,9 @@ def derived_constants(prep) -> dict:
         "kappa": params.kappa,
         "s_coeff": params.s_coeff.tolist(),
         "theta_coeff": params.theta_coeff.tolist(),
-        "R": [m.tolist() for m in params.R],
-        "Theta": [m.tolist() for m in params.Theta],
-        "S": [m.tolist() for m in params.S],
+        "R": [(2.0 * params.kappa * params.Q).tolist()] * len(params.s_coeff),
+        "Theta": [(c * params.Q).tolist() for c in params.theta_coeff],
+        "S": [(c * params.Q).tolist() for c in params.s_coeff],
         "sigma": params.sigma.tolist(),
         "b": params.b.tolist(),
     }

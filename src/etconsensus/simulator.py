@@ -60,6 +60,7 @@ from .lockstep import Lockstep, lockstep
 from .outputs import (  # records and their files are part of this module's API
     RunRecord,
     RunSink,
+    check_fits,
     load_run_record,
     write_run_outputs,
 )
@@ -147,9 +148,11 @@ def _is_finite_real(v) -> bool:
 
 
 def _check_field_types(cfg: SimConfig) -> None:
-    """Reject a wrong type or a non-finite number before any field is used."""
+    """Reject a wrong type, a non-finite number or an unallocatable N before any field is used."""
     if not _is_int(cfg.n_agents) or cfg.n_agents < 1:
         raise ConfigError(f"n_agents must be a positive integer, got {cfg.n_agents!r}")
+    n = cfg.n_agents
+    check_fits(n * n, 8, f"the {n} x {n} adjacency of n_agents = {n}", "lower n_agents")
     if not _is_int(cfg.seed):
         raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
     if not isinstance(cfg.model, str):
@@ -477,8 +480,8 @@ def _failures(exc: NumericsError, world: WorldState, core, preps: list) -> dict:
 def run_batch(preps, sinks=None) -> list:
     """Step prepared runs in lockstep, as one run over the disjoint union of their graphs.
 
-    The runs must agree on ``batch_key`` (model, integrator, h, step count,
-    N and P); edges, x0, parameters and gains may differ. Every member is
+    The runs must agree on model, integrator, h, step count, N and P (see
+    ``lockstep``); edges, x0, parameters and gains may differ. Every member is
     bit for bit its solo ``run``. Each member's rows go to its sink a block
     of steps at a time: ``sink.put(rows)`` gets a dict of its samples
     (``times``, ``states``, ``flags``, the trigger series any sink names in

@@ -62,16 +62,22 @@ def compute_wi(i: int, bank: EstimatorBank, lap: Laplacian) -> np.ndarray:
     return w
 
 
+def trigger_matrices(i: int, params: TriggerParams) -> tuple:
+    """Agent i's (S_i, Theta_i, R_i): the products s_i Q, theta_i Q and 2 kappa Q."""
+    Q = params.Q
+    return params.s_coeff[i] * Q, params.theta_coeff[i] * Q, 2.0 * params.kappa * Q
+
+
 def compute_delta(i: int, e_i: np.ndarray, w_i: np.ndarray, params: TriggerParams) -> float:
     """Trigger function delta_i = e_i' S_i e_i + |w_i' R_i e_i|."""
-    S = params.S[i]
-    R = params.R[i]
+    S, _, R = trigger_matrices(i, params)
     return float(e_i @ S @ e_i + abs(w_i @ R @ e_i))
 
 
 def ctc_threshold(i: int, w_i: np.ndarray, params: TriggerParams) -> float:
     """Threshold sigma_i * w_i' Theta_i w_i shared by both CTC variants."""
-    return float(params.sigma[i] * (w_i @ params.Theta[i] @ w_i))
+    Theta = trigger_matrices(i, params)[1]
+    return float(params.sigma[i] * (w_i @ Theta @ w_i))
 
 
 def ctc_fire_asymptotic(delta: float, w: np.ndarray, params: TriggerParams, i: int) -> bool:

@@ -21,6 +21,7 @@ from bank_reference import (
     ctc_threshold,
     make_banks,
     run_reference,
+    trigger_matrices,
 )
 from conftest import charpoly_eigs
 from etconsensus import simulator
@@ -339,12 +340,13 @@ def test_criterion_6_oracle_equivalences():
             + 2.0 * kappa * l_ii / b_i
             + 5.0 * eps * (4.0 * l_ii / b_i - 5.0 * m_i * (b_i / 2.0 + 1.0 / (2.0 * b_i)))
         )
+        S, Theta, R = trigger_matrices(i, params)
         for a in range(2):
             for c in range(2):
                 for got, want in (
-                    (params.R[i][a][c], 2.0 * kappa * pbbp[a][c]),
-                    (params.Theta[i][a][c], theta_c * pbbp[a][c]),
-                    (params.S[i][a][c], s_c * pbbp[a][c]),
+                    (R[a][c], 2.0 * kappa * pbbp[a][c]),
+                    (Theta[a][c], theta_c * pbbp[a][c]),
+                    (S[a][c], s_c * pbbp[a][c]),
                 ):
                     err = abs(got - want) / max(1.0, abs(want))
                     worst_gain = max(worst_gain, err)

@@ -1,5 +1,6 @@
 """Config files, presets, and the command-line entry point."""
 
+import itertools
 import json
 import math
 import os
@@ -10,15 +11,17 @@ from pathlib import Path
 import pytest
 
 import etconsensus
-from etconsensus.cli import main
+from etconsensus.cli import _sub_batches, main
 from etconsensus.config import (
     PRESET_NAMES,
     config_from_dict,
     load_config,
     load_preset,
+    prepare_dict,
     preset_config,
 )
 from etconsensus.errors import ConfigError
+from etconsensus.lockstep import lockstep
 
 
 def write_json(path, data):
@@ -156,6 +159,7 @@ class TestConfigFiles:
             ("seed", None),
             ("seed", 1.5),
             ("seed", True),
+            ("n_agents", 100_000_000),  # an 8e16-byte adjacency, beyond any machine's memory
         ],
     )
     def test_malformed_value_exits_2_naming_field(self, field, value, tmp_path, capsys):
@@ -324,6 +328,19 @@ class TestMetricsCommand:
         assert math.isclose(payload[label]["gamma"], summary["metrics"]["gamma"], rel_tol=1e-9)
         assert (mout / "tables.md").read_text().rstrip("\n") == text.rstrip("\n")
 
+    def test_runs_sharing_a_base_name_keep_their_paths(self, short_run, tmp_path, capsys):
+        other = tmp_path / short_run.name
+        d = preset_config("paper-zeno-040")
+        d["duration"] = 0.5
+        assert main(["run", "--config", write_json(tmp_path / "c.json", d), "--out", str(other)]) == 0
+        mout = tmp_path / "m"
+        assert main(["metrics", "--run", str(short_run), str(other), "--out", str(mout)]) == 0
+        payload = json.loads((mout / "metrics.json").read_text())
+        assert set(payload) == {str(short_run), str(other)}
+        for run_dir in (short_run, other):
+            assert payload[str(run_dir)]["comm_count"] == len(event_rows(run_dir))
+        assert payload[str(short_run)] != payload[str(other)]
+
     def test_zero_event_run(self, tmp_path, capsys):
         d = preset_config("paper-asym-040")
         d.update({"duration": 0.2, "theta_hat": [0.5], "x0": [[0.4, -0.2]] * 5})
@@ -449,6 +466,62 @@ class TestSweep:
         assert main(argv) == 2
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pool_forks_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        """A fork-started pool forks all ``max_workers`` at the first submit, so cap it."""
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", sweep_spec_file(tmp_path), "--out", str(out), "--jobs", "5000"]
+        assert main(argv) == 0
+        assert asked == [4]  # one chunk per point of the 4-point grid
+        assert json.loads((out / "sweep_summary.json").read_text())["n_points"] == 4
+
+    def test_every_chunk_steps_in_one_lockstep(self, tmp_path):
+        """Points of one ``_sub_batches`` chunk prepare into one lockstep batch.
+
+        The points differ in integrator, duration, h (given, or left to its
+        default) and P (as ints or as floats); a chunk is run as one
+        ``lockstep`` batch, which raises UsageError on a mismatch.
+        """
+        base = preset_config("paper-asym-040")
+        del base["h"]
+        items = []
+        for integrator, duration, h, P, theta_hat in itertools.product(
+            ("euler", "rk4"),
+            (0.1, 0.2),
+            (None, 0.01, 0.02),
+            ([[5, 2], [2, 1]], [[5.0, 2.0], [2.0, 1.0]]),
+            ([0.4], [0.35], [0.45]),
+        ):
+            point = {**base, "integrator": integrator, "duration": duration, "P": P,
+                     "theta_hat": theta_hat}
+            if h is not None:
+                point["h"] = h
+            items.append((str(len(items)), point, str(tmp_path)))
+        for jobs in (1, 2):
+            chunks = _sub_batches(items, jobs)
+            assert sorted(item[0] for chunk in chunks for item in chunk) == sorted(
+                item[0] for item in items
+            )
+            for chunk in chunks:
+                lockstep([prepare_dict(config) for _, config, _ in chunk])
 
     def test_parallel_jobs_byte_identical(self, tmp_path):
         specp = sweep_spec_file(tmp_path)

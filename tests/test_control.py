@@ -13,6 +13,7 @@ from bank_reference import (
     ctc_fire_practical,
     ctc_threshold,
     make_banks,
+    trigger_matrices,
 )
 from etconsensus.control import (
     TriggerState,
@@ -78,9 +79,10 @@ class TestGainMatrices:
         assert np.allclose(params.b, [0.2, 1.0 / 15.0, 0.1, 0.2, 0.2], atol=1e-15)
         assert np.allclose(params.s_coeff, S_COEFF, rtol=1e-9)
         assert np.allclose(params.theta_coeff, THETA_COEFF, rtol=1e-9)
-        for R in params.R:
-            assert np.allclose(R, 10.2 * PBBP, atol=1e-12)
-        assert math.isclose(spectral_norm(params.R[0]), 51.0, rel_tol=1e-12)
+        assert np.array_equal(params.Q, PBBP)
+        for i in range(5):
+            assert np.allclose(trigger_matrices(i, params)[2], 10.2 * PBBP, atol=1e-12)
+        assert math.isclose(spectral_norm(trigger_matrices(0, params)[2]), 51.0, rel_tol=1e-12)
 
     def test_matrices_match_scalar_formulas(self):
         lap = fig_lap()
@@ -98,14 +100,15 @@ class TestGainMatrices:
                 )
             )
             t = 2.0 * 5.0 * lap.epsilon * (1.0 - 2.0 * l * b)
-            assert np.allclose(params.S[i], s * PBBP, rtol=1e-12)
-            assert np.allclose(params.Theta[i], t * PBBP, rtol=1e-12)
-            assert np.allclose(params.R[i], 2.0 * kap * PBBP, rtol=1e-12)
+            S, Theta, R = trigger_matrices(i, params)
+            assert np.allclose(S, s * PBBP, rtol=1e-12)
+            assert np.allclose(Theta, t * PBBP, rtol=1e-12)
+            assert np.allclose(R, 2.0 * kap * PBBP, rtol=1e-12)
 
     def test_theta_matrices_positive_semidefinite(self):
         params = fig_params()
-        for Theta in params.Theta:
-            assert eigvalsh(Theta.copy())[0] >= -1e-12
+        for i in range(5):
+            assert eigvalsh(trigger_matrices(i, params)[1])[0] >= -1e-12
 
     def test_indefinite_theta_names_the_first_failing_agent(self):
         # P B B'P is positive semidefinite in exact arithmetic; with this P its
@@ -248,7 +251,7 @@ class TestTriggerFunction:
     def test_zero_disagreement_keeps_quadratic_term(self):
         params = fig_params()
         e = np.array([0.2, -0.1])
-        want = float(e @ params.S[1] @ e)
+        want = float(e @ trigger_matrices(1, params)[0] @ e)
         assert math.isclose(compute_delta(1, e, np.zeros(2), params), want, rel_tol=1e-12)
 
     def test_scalar_expansion(self):

@@ -1,4 +1,4 @@
-"""Model registry, drift evaluation, decay certificate, growth constants."""
+"""Model registry, drift, decay certificate, growth constants."""
 
 import math
 
@@ -11,7 +11,6 @@ from etconsensus.dynamics import (
     available_models,
     check_cmf,
     estimate_lipschitz,
-    eval_f,
     make_model,
     register_model,
     trig_grid,
@@ -37,36 +36,32 @@ def linear_model(F: np.ndarray) -> SystemModel:
     )
 
 
+def drift(model, x, theta) -> np.ndarray:
+    """The model's drift at state(s) ``x`` under the scalar parameter ``theta``."""
+    return model.f(np.asarray(x, dtype=float), np.array([theta], dtype=float))
+
+
 class TestDrift:
     def test_pointwise_values(self):
         model = make_model("paper-sys")
-        assert np.allclose(eval_f(model, [0.0, 0.0], 0.5), [0.5, 0.5], atol=1e-15)
+        assert np.allclose(drift(model, [0.0, 0.0], 0.5), [0.5, 0.5], atol=1e-15)
         assert np.allclose(
-            eval_f(model, [0.0, math.pi / 2.0], 0.0), [math.pi / 2.0, 0.0], atol=1e-15
+            drift(model, [0.0, math.pi / 2.0], 0.0), [math.pi / 2.0, 0.0], atol=1e-15
         )
         th = 0.5
         want = [
             1.0 + th * math.cos(1.0),
             -1.0 + th * math.cos(1.0) + th * th * math.cos(1.0) * math.sin(1.0),
         ]
-        assert np.allclose(eval_f(model, [1.0, 1.0], th), want, atol=1e-15)
+        assert np.allclose(drift(model, [1.0, 1.0], th), want, atol=1e-15)
 
     def test_batch_matches_loop(self):
         model = make_model("paper-sys")
         rng = np.random.default_rng(3)
         xs = rng.normal(size=(40, 2))
-        batch = eval_f(model, xs, 0.37)
+        batch = drift(model, xs, 0.37)
         for k in range(xs.shape[0]):
-            assert np.array_equal(batch[k], eval_f(model, xs[k], 0.37))
-
-    def test_dimension_validation(self):
-        model = make_model("paper-sys")
-        with pytest.raises(ModelError):
-            eval_f(model, [1.0, 2.0, 3.0], 0.5)
-        with pytest.raises(ModelError):
-            eval_f(model, 1.0, 0.5)
-        with pytest.raises(ModelError):
-            eval_f(model, [1.0, 2.0], [0.1, 0.2])
+            assert np.array_equal(batch[k], drift(model, xs[k], 0.37))
 
     def test_jacobian_matches_finite_differences(self):
         model = make_model("paper-sys")
@@ -105,7 +100,7 @@ class TestRegistry:
     def test_custom_model_roundtrip(self):
         register_model("linear-test", lambda th, thh: linear_model(-np.eye(2)))
         model = make_model("linear-test")
-        assert np.allclose(eval_f(model, [1.0, 2.0], 0.0), [-1.0, -2.0])
+        assert np.allclose(drift(model, [1.0, 2.0], 0.0), [-1.0, -2.0])
 
     def test_b_shape_validated(self):
         with pytest.raises(ModelError):
@@ -133,8 +128,9 @@ class TestTrigGrid:
         assert grid.max() <= math.pi + 1e-12
 
     def test_custom_step(self):
-        grid = trig_grid(step=1.0, bound=1.0)
-        assert grid.shape == (9, 2)
+        grid = trig_grid(step=1.0)
+        assert grid.shape == (49, 2)  # -pi, 1 - pi, ..., 6 - pi on each axis
+        assert np.allclose(np.unique(grid[:, 0]), np.arange(7.0) - math.pi, atol=1e-15)
 
 
 class TestCertificate:
@@ -147,8 +143,6 @@ class TestCertificate:
             CmfCertificate(P=np.eye(2), rho=-0.1, q=1.0)
         with pytest.raises(CertificateError):
             CmfCertificate(P=np.eye(2), rho=0.0, q=0.0)
-        cert = CmfCertificate(P=np.eye(2), rho=0.0, q=1.0)
-        assert cert.sample_report is None
 
     def test_linear_decay_margins(self):
         # For dx/dt = -x with P = I, rho = 0 the sampled matrix is (q - 2) I.
@@ -170,7 +164,6 @@ class TestCertificate:
         report = check_cmf(model, cert, grid, thetas=[[0.5], [0.40], [0.35]])
         assert not report.holds
         assert report.worst_margin > 1.0
-        assert cert.sample_report is report
         assert report.n_points == grid.shape[0] * 3
 
     def test_large_rho_restores_decay_on_coarse_grid(self):
@@ -198,7 +191,6 @@ class TestLipschitz:
         assert lip.k == 1.05 * lip.k_grid_max
         assert math.isclose(lip.delta_grid_max, 0.176139, abs_tol=1e-3)
         assert lip.Delta == 1.05 * lip.delta_grid_max
-        assert lip.safety == 1.05
 
     def test_larger_mismatch_for_worse_estimate(self, lipschitz_cache):
         _, lip40 = lipschitz_cache([0.40])

@@ -119,11 +119,6 @@ class TestLaplacianConstants:
         assert math.isclose(lap.epsilon, 1.0 / lap.lambda_max, rel_tol=1e-12)
         assert lap.M.tolist() == [2.0, 12.0, 6.0, 2.0, 2.0]
 
-    def test_l22_is_follower_block(self):
-        lap = build_laplacian(fig_graph())
-        assert lap.l22.shape == (4, 4)
-        assert np.array_equal(lap.l22, lap.L[1:, 1:])
-
     def test_epsilon_override_accepted_in_range(self):
         lap = build_laplacian(fig_graph(), epsilon=0.1)
         assert lap.epsilon == 0.1

@@ -14,6 +14,7 @@ import pytest
 
 from etconsensus import dynamics
 from etconsensus.dynamics import (
+    LIPSCHITZ_SAFETY,
     CmfCertificate,
     SystemModel,
     check_cmf,
@@ -101,8 +102,8 @@ def assert_lipschitz_matches(model, states, thetas, jacobian=None):
     lip = estimate_lipschitz(model, states, thetas=thetas)
     assert same_bits(lip.k_grid_max, k_raw)
     assert same_bits(lip.delta_grid_max, delta_raw)
-    assert same_bits(lip.k, lip.safety * k_raw)
-    assert same_bits(lip.Delta, lip.safety * delta_raw)
+    assert same_bits(lip.k, LIPSCHITZ_SAFETY * k_raw)
+    assert same_bits(lip.Delta, LIPSCHITZ_SAFETY * delta_raw)
     return lip
 
 
