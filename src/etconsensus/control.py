@@ -219,20 +219,27 @@ def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -
             "the Zeno guard needs the run's |w| series, which a reloaded record lacks"
         )
     bbtp_norm = spectral_norm(params.B @ params.BtP)
+    # |S_i| for every agent in one stacked call; |R_i| = |2 kappa Q| is the same for all.
+    # A degenerate s_i Q fails the stack, and each agent then takes its own norms.
+    try:
+        stacked = (
+            spectral_norm(params.s_coeff[:, None, None] * params.Q).tolist(),
+            spectral_norm(2.0 * params.kappa * params.Q),
+        )
+    except Exception:
+        stacked = None
     gaps = record.min_inter_event
     taus = []
     w_maxes = [float(v) for v in record.w_max]
     for i, w_max in enumerate(w_maxes):
         try:
             nu = error_growth_gain(params.kappa, bbtp_norm, w_max, lipschitz.Delta, lipschitz.k)
-            tau = tau_lower_bound(
-                lipschitz.k,
-                nu,
-                spectral_norm(params.s_coeff[i] * params.Q),
-                spectral_norm(2.0 * params.kappa * params.Q),
-                w_max,
-                params.xi,
-            )
+            if stacked is None:
+                s_norm = spectral_norm(params.s_coeff[i] * params.Q)
+                r_norm = spectral_norm(2.0 * params.kappa * params.Q)
+            else:
+                s_norm, r_norm = stacked[0][i], stacked[1]
+            tau = tau_lower_bound(lipschitz.k, nu, s_norm, r_norm, w_max, params.xi)
         except Exception:
             tau = math.inf
         taus.append(tau)

@@ -66,16 +66,21 @@ def propagate_all(
 ) -> np.ndarray:
     """Advance y = [x; xhat], (2N, n), from time ``t`` by one integrator step of ``field``.
 
-    Raises NumericsError naming the first estimate that becomes non-finite
-    and the time it does; the caller checks the true-state rows.
+    One finiteness test covers the stack. On a non-finite row NumericsError
+    names the first non-finite estimate, else the true states, with the time.
     """
     new = step_fn(scheme)(field, y, h)
-    n_agents = y.shape[0] // 2
-    if not np.isfinite(new[n_agents:]).all():
-        j = int((~np.isfinite(new[n_agents:]).all(axis=1)).argmax())
+    if not np.isfinite(new).all():
+        n_agents = y.shape[0] // 2
+        bad = ~np.isfinite(new[n_agents:]).all(axis=1)
+        if bad.any():
+            j = int(bad.argmax())
+            raise NumericsError(
+                f"estimator state of agent {j} became non-finite at t = {t + h:.6f}:"
+                f" xhat = {new[n_agents + j].tolist()}"
+            )
         raise NumericsError(
-            f"estimator state of agent {j} became non-finite at t = {t + h:.6f}:"
-            f" xhat = {new[n_agents + j].tolist()}"
+            f"non-finite true state at t = {t + h:.6f}: x = {new[:n_agents].tolist()}"
         )
     return new
 

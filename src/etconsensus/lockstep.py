@@ -24,10 +24,12 @@ class Lockstep(SimpleNamespace):
     neighbourhood size k, then by row. ``flat_idx`` joins their closed
     neighbourhoods, each in agent order, and ``flat_own`` repeats each row
     k times, so ``xhat[flat_idx] - xhat[flat_own]`` holds every difference
-    xhat_j - xhat_i. ``blocks`` has one ``(diffs, rows, shape, coeffs)``
-    entry per k: the group's slice of the differences, its slice of the
-    group order, the (g, k, n) shape of its differences and its Laplacian
-    entries as (g, 1, k). ``inv`` maps each row to its place in group order.
+    xhat_j - xhat_i. The buffers ``diffs`` (len(flat_idx), n) for the
+    differences and ``sums`` (R, 1, n) for the sums, in group order, are
+    allocated once, with the core. ``blocks`` has one ``(coeffs, d, w)`` entry
+    per k: the group's Laplacian entries as (g, 1, k), its (g, k, n) view of
+    ``diffs`` and its (g, 1, n) view of ``sums``. ``inv`` maps each row to its
+    place in group order.
     ``theta_rows`` (2R, p) is the parameter of each row of the stacked state
     [x; xhat]: theta_true for the true states, theta_hat for the estimates.
     ``Q`` is the runs' shared ``TriggerParams.Q`` = P B B' P, the matrix
@@ -49,24 +51,28 @@ def layout(members: list, coeffs: list, n: int) -> dict:
     ``coeffs[r]`` holds row r's Laplacian entries, aligned with ``members[r]``.
     """
     order = sorted(range(len(members)), key=lambda r: len(members[r]))
+    flat_idx = np.array([j for r in order for j in members[r]], dtype=np.intp)
+    diffs = np.empty((len(flat_idx), n))
+    sums = np.empty((len(members), 1, n))
     blocks = []
     start = first = 0
     for k in sorted({len(m) for m in members}):
         rows = [r for r in order if len(members[r]) == k]
         g = len(rows)
         blocks.append((
-            slice(start, start + g * k),
-            slice(first, first + g),
-            (g, k, n),
             np.array([coeffs[r] for r in rows])[:, None, :],
+            diffs[start : start + g * k].reshape(g, k, n),
+            sums[first : first + g],
         ))
         start += g * k
         first += g
     inv = np.empty(len(members), dtype=np.intp)
     inv[order] = np.arange(len(members))
     return dict(
-        flat_idx=np.array([j for r in order for j in members[r]], dtype=np.intp),
+        flat_idx=flat_idx,
         flat_own=np.repeat(order, [len(members[r]) for r in order]),
+        diffs=diffs,
+        sums=sums,
         blocks=tuple(blocks),
         inv=inv,
     )

@@ -156,35 +156,37 @@ def csv_columns(n_agents: int, n: int, estimates: bool) -> list:
 class CsvWriter:
     """Appends blocks of rows to ``states.csv`` and ``events.csv`` in ``out_dir``.
 
-    Each row is formatted on its own with one "%.17g" per value, which gives
-    the same text as format(v, ".17g") for every double, -0.0, subnormals,
-    inf and nan included. The files are opened per block, so a batch of many
-    runs holds no file buffers between blocks.
+    Each row is formatted on its own with one "%.17g" per value (a sample's
+    time once, for its states row and its event rows), the same text as
+    format(v, ".17g") for every double, -0.0, subnormals, inf and nan
+    included. The files are opened per block, so a batch of many runs holds
+    no file buffers between blocks.
     """
 
     def __init__(self, out_dir, n_agents: int, n: int, estimates: bool):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         cols = csv_columns(n_agents, n, estimates)
-        self.row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+        self.row_fmt = ",".join(["%s"] + ["%.17g"] * (len(cols) - 1)) + "\n"
         (self.out / "states.csv").write_text(",".join(cols) + "\n")
         (self.out / "events.csv").write_text("t,agent\n")
 
     def put(self, times, states, flags, est=None) -> None:
         """Append samples: times (j,), states (j, N, n), flags (j, N), estimates (j, N, n)."""
         j = len(times)
-        parts = [times[:, None], states.reshape(j, -1)]
+        stamps = ["%.17g" % t for t in times.tolist()]
+        values = states.reshape(j, -1)
         if est is not None:
-            parts.append(est.reshape(j, -1))
+            values = np.concatenate((values, est.reshape(j, -1)), axis=1)
         fmt = self.row_fmt
         with (self.out / "states.csv").open("a") as fh:
-            for row in np.concatenate(parts, axis=1):
-                fh.write(fmt % tuple(row.tolist()))
+            for stamp, row in zip(stamps, values):
+                fh.write(fmt % (stamp, *row.tolist()))
         ks, agents = np.nonzero(flags)
         if len(ks):
             with (self.out / "events.csv").open("a") as fh:
-                for t, agent in zip(times[ks].tolist(), agents.tolist()):
-                    fh.write("%.17g,%d\n" % (t, agent + 1))
+                for k, agent in zip(ks.tolist(), agents.tolist()):
+                    fh.write("%s,%d\n" % (stamps[k], agent + 1))
 
 
 class RunSink:

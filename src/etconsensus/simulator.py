@@ -17,10 +17,11 @@ The disagreement w_i = sum_j l_ij (xhat_j - xhat_i) feeds the control law and
 both trigger conditions. ``lockstep`` lays every agent's closed neighbourhood
 out flat, the agents grouped by neighbourhood size, so one gather forms every
 difference xhat_j - xhat_i and one batched product per size forms the sums:
-the same per-row arithmetic as one product per agent. A world carries the
-disagreement of its estimates as they stand after the step's broadcasts, so
-the next step's control term reads it instead of recomputing it, and when no
-agent fired the trigger's own w is that disagreement already.
+the same per-row arithmetic as one product per agent, into two buffers the
+core allocates once; w is copied out, as a world keeps it past the next call.
+A world carries the disagreement of its estimates after the step's
+broadcasts, so the next step's control term reads it instead of recomputing
+it, and when no agent fired the trigger's own w is that disagreement already.
 
 The step loop reads a ``Lockstep``: prepared runs stepped as one run over the
 disjoint union of their graphs. Every row's arithmetic is the one its run
@@ -290,13 +291,13 @@ def _disagreement(xhat: np.ndarray, core: Lockstep) -> np.ndarray:
     One gather forms every difference, then one batched product per
     neighbourhood size runs the same per-row product as one
     ``coeffs_i @ (xhat[members_i] - xhat_i)`` per agent, so the bits agree
-    with it; a dense ``L @ xhat`` or one zero-padded stack does not.
+    with it; a dense ``L @ xhat`` or one zero-padded stack does not. Both go
+    into the core's buffers, and the final gather copies w out of them.
     """
-    d = xhat[core.flat_idx] - xhat[core.flat_own]
-    w = np.empty((len(core.inv), 1, xhat.shape[1]))
-    for diffs, rows, shape, coeffs in core.blocks:
-        np.matmul(coeffs, d[diffs].reshape(shape), out=w[rows])
-    return w[core.inv, 0]
+    np.subtract(xhat[core.flat_idx], xhat[core.flat_own], out=core.diffs)
+    for coeffs, d, w in core.blocks:
+        np.matmul(coeffs, d, out=w)
+    return core.sums[core.inv, 0]
 
 
 def _evaluate(
@@ -340,14 +341,9 @@ def _advance(world: WorldState, core: Lockstep) -> np.ndarray:
         out[lead:n_rows] += bu
         return out
 
-    y = propagate_all(
+    return propagate_all(
         np.concatenate((world.x, world.xhat)), vector_field, core.h, core.integrator, world.t
     )
-    if not np.isfinite(y[:n_rows]).all():
-        raise NumericsError(
-            f"non-finite true state at t = {world.t + core.h:.6f}: x = {y[:n_rows].tolist()}"
-        )
-    return y
 
 
 def _step(world: WorldState, core: Lockstep) -> WorldState:

@@ -78,6 +78,62 @@ class TestDrift:
                 assert np.allclose(J[:, col], num, atol=1e-6)
 
 
+def reference_paper_f(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The paper system's drift, one column at a time: the operations ``_paper_f`` must keep."""
+    th = theta[..., 0]
+    z1 = x[..., 0]
+    z2 = x[..., 1]
+    tc2 = th * np.cos(z2)
+    out = np.empty_like(x)
+    out[..., 0] = z2 + tc2
+    out[..., 1] = (tc2 - z1) + (th * th) * np.cos(z1) * np.sin(z1)
+    return out
+
+
+class TestDriftOracle:
+    """``_paper_f`` is bit for bit the column-wise formula, whatever the layout of its input."""
+
+    @staticmethod
+    def states(rng) -> list:
+        signed_zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+        large = rng.choice([-1.0, 1.0], size=(64, 2)) * 10.0 ** rng.uniform(3, 300, size=(64, 2))
+        wide = rng.normal(size=(512, 5)) * 4.0
+        return [
+            trig_grid(0.2),
+            rng.normal(size=(300, 2)) * 3.0,
+            wide[:, 1:5:3],  # strided columns
+            wide[::3, :2],  # strided rows
+            signed_zeros,
+            large,
+            np.concatenate((signed_zeros, large, -large)),
+        ]
+
+    @staticmethod
+    def assert_same_bits(x, theta):
+        model = make_model("paper-sys")
+        with np.errstate(all="ignore"):
+            got, want = model.f(x, theta), reference_paper_f(x, theta)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_shared_theta(self):
+        rng = np.random.default_rng(11)
+        for x in self.states(rng):
+            for th in (0.0, -0.0, 0.37, 0.5, 1.0):
+                self.assert_same_bits(x, np.array([th]))
+        self.assert_same_bits(np.array([1.0, -2.0]), np.array([0.4]))
+
+    def test_per_row_theta(self):
+        rng = np.random.default_rng(12)
+        for x in self.states(rng):
+            theta = rng.uniform(0.0, 1.0, size=(len(x), 1))
+            self.assert_same_bits(x, theta)
+            wide = rng.uniform(0.0, 1.0, size=(len(x), 3))
+            self.assert_same_bits(x, wide[:, 1:2])  # a strided parameter column
+        stack = rng.normal(size=(4, 6, 2))
+        self.assert_same_bits(stack, rng.uniform(0.0, 1.0, size=(4, 6, 1)))
+
+
 class TestRegistry:
     def test_paper_sys_registered_with_defaults(self):
         assert "paper-sys" in available_models()

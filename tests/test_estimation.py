@@ -150,11 +150,17 @@ class TestPropagate:
         y[7, 1] = np.nan
         with pytest.raises(NumericsError, match="estimator"):
             propagate_all(y, stacked_field(model), 0.01)
-        # A non-finite true state is the caller's to report, with its time.
+        # With every estimate finite, the non-finite true state is named, with its time.
         y = np.concatenate((X0, X0))
         y[2, 0] = np.inf
         with np.errstate(invalid="ignore"):
-            assert not np.isfinite(propagate_all(y, stacked_field(model), 0.01)[2]).all()
+            with pytest.raises(NumericsError, match=r"non-finite true state at t = 0\.260000"):
+                propagate_all(y, stacked_field(model), 0.01, t=0.25)
+        # When both go non-finite, the estimate is named first.
+        y[7, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericsError, match="estimator state of agent 2 "):
+                propagate_all(y, stacked_field(model), 0.01)
 
 
 class TestBroadcast:

@@ -1,5 +1,6 @@
 """Closed-loop stepping, run records, failure paths, and file round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -325,6 +326,23 @@ class TestZenoGuard:
         assert not report.satisfied
         assert report.min_inter_event[3] < report.tau[3]
 
+    def test_degenerate_agent_leaves_the_others_bounded(self, run_cache, lipschitz_cache):
+        """b_i = 5e-324 makes s_i inf - inf = NaN: that agent's tau is inf, as
+        when its norm failed alone, and every other agent keeps its bound."""
+        rec = run_cache("paper-zeno-040", duration=5.0)
+        prep = prepare(rec.config)
+        _, lip = lipschitz_cache([0.40])
+        b = (1.0 / (5.0 * np.diag(prep.lap.L))).tolist()
+        b[2] = 5e-324
+        with np.errstate(all="ignore"):
+            params = prepare(dataclasses.replace(rec.config, b=b)).params
+        assert np.isnan(params.s_coeff[2])
+        with np.errstate(all="ignore"):
+            report = zeno_guard_report(rec, params, lip)
+        healthy = zeno_guard_report(rec, prep.params, lip)
+        assert report.tau[2] == math.inf
+        assert report.tau[:2] + report.tau[3:] == healthy.tau[:2] + healthy.tau[3:]
+
     def test_agents_without_event_pairs_are_vacuous(self, run_cache, lipschitz_cache):
         rec = run_cache("paper-zeno-040", duration=5.0)
         prep = prepare(rec.config)
@@ -392,6 +410,26 @@ class TestDisagreement:
     def test_network_80(self, seed):
         prep = prepare_dict(network_80_dict(seed, duration=0.0))
         self.check(prep, np.random.default_rng(seed))
+
+    def test_w_outlives_the_core_buffers(self):
+        """The core reuses its disagreement buffers on every call, so each w handed
+        out must own its memory: a kept w, returned or carried by a world, stays
+        as it was while the next steps run."""
+        prep = load_preset("paper-asym-040", duration=1.0)
+        core = lockstep([prep])
+        world = initial_world(core)
+        moved = 0
+        for _ in range(prep.n_steps):
+            kept, kept_w = world, world.w.copy()
+            w = _disagreement(world.xhat, core)
+            w_copy = w.copy()
+            world = step(world, core)
+            _disagreement(world.x, core)  # other contents in the buffers
+            assert np.array_equal(kept.w, kept_w)
+            assert np.array_equal(w, w_copy)
+            assert not np.shares_memory(world.w, core.sums)
+            moved += not np.array_equal(world.w, kept_w)
+        assert moved > prep.n_steps // 2
 
     @pytest.mark.parametrize("preset", ["paper-asym-040", "paper-zeno-040"])
     def test_carried_w_matches_recomputed(self, preset):
