@@ -9,6 +9,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from .config import (
     PRESET_NAMES,
+    check_fits,
     load_config,
     load_preset,
     prepare_dict,
@@ -27,7 +29,7 @@ from .dynamics import check_cmf, estimate_lipschitz, trig_grid
 from .errors import ConfigError, EtcError, NumericsError
 from .lockstep import SHARED_FIELDS
 from .metrics import MetricReport, compute_metrics, markdown_tables
-from .outputs import RunSink, check_fits, csv_columns
+from .outputs import RunSink, csv_columns
 from .simulator import (
     load_run_record,
     run_batch,
@@ -79,14 +81,9 @@ def _close_point(prep, lip, streamed, out) -> dict:
             "practical_consensus_bound": practical_consensus_bound(
                 prep.cfg.n_agents, prep.cfg.xi, prep.cfg.q, prep.cert.P
             ),
-            "lipschitz": {"k": lip.k, "Delta": lip.Delta},
+            "lipschitz": dataclasses.asdict(lip),
         }
-        extra["zeno_guard"] = {
-            "min_inter_event": list(guard.min_inter_event),
-            "tau": list(guard.tau),
-            "w_max": list(guard.w_max),
-            "satisfied": guard.satisfied,
-        }
+        extra["zeno_guard"] = dataclasses.asdict(guard)
     report = compute_metrics(streamed)
     write_run_outputs(streamed, out, extra_summary=extra, report=report)
     return report.to_dict()

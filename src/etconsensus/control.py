@@ -119,12 +119,21 @@ def build_trigger_params(
     kappa = kappa1 + kappa2
     Q = P @ B @ B.T @ P
     eps = lap.epsilon
-    theta_coeff = 2.0 * kappa2 * eps * (1.0 - 2.0 * l_diag * b)
-    s_coeff = (
-        2.0 * kappa * l_diag * b
-        + 2.0 * kappa * l_diag / b
-        + kappa2 * eps * (4.0 * l_diag / b - n_agents * lap.M * (b / 2.0 + 1.0 / (2.0 * b)))
-    )
+    with np.errstate(all="ignore"):  # a b_i near 0 overflows; refused below
+        theta_coeff = 2.0 * kappa2 * eps * (1.0 - 2.0 * l_diag * b)
+        s_coeff = (
+            2.0 * kappa * l_diag * b
+            + 2.0 * kappa * l_diag / b
+            + kappa2 * eps * (4.0 * l_diag / b - n_agents * lap.M * (b / 2.0 + 1.0 / (2.0 * b)))
+        )
+    # A NaN s_i would never fire: NaN > 0 is false.
+    bad = np.flatnonzero(~(np.isfinite(s_coeff) & np.isfinite(theta_coeff)))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(
+            f"b[{i}] = {float(b[i])!r} makes agent {i}'s trigger coefficients non-finite"
+            f" (s = {float(s_coeff[i])!r}, theta = {float(theta_coeff[i])!r})"
+        )
     negative = np.flatnonzero(eigvalsh(theta_coeff[:, None, None] * Q)[:, 0] < -1e-12)
     if negative.size:
         raise ConfigError(f"Theta[{negative[0]}] is not positive semidefinite")

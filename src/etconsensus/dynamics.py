@@ -277,14 +277,11 @@ def check_cmf(
 class LipschitzData:
     """Grid bounds on the drift: k for the Jacobian norm, Delta for mismatch drift.
 
-    ``k`` and ``Delta`` include the factor ``LIPSCHITZ_SAFETY``; the raw grid
-    maxima are kept alongside for diagnostics.
+    Both include the factor ``LIPSCHITZ_SAFETY`` over the grid maxima.
     """
 
     k: float
     Delta: float
-    k_grid_max: float
-    delta_grid_max: float
 
 
 def estimate_lipschitz(
@@ -311,9 +308,4 @@ def estimate_lipschitz(
         drift = model.f(xs, theta_hat) - model.f(xs, theta_true)
         drift_max.append(np.sqrt((drift * drift).sum(axis=1)).max())
     delta_raw = float(np.max(drift_max))
-    return LipschitzData(
-        k=LIPSCHITZ_SAFETY * k_raw,
-        Delta=LIPSCHITZ_SAFETY * delta_raw,
-        k_grid_max=float(k_raw),
-        delta_grid_max=delta_raw,
-    )
+    return LipschitzData(k=LIPSCHITZ_SAFETY * k_raw, Delta=LIPSCHITZ_SAFETY * delta_raw)

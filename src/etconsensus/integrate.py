@@ -6,10 +6,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
-
-INTEGRATORS = ("euler", "rk4")
-
 Field = Callable[[np.ndarray], np.ndarray]
 
 
@@ -26,12 +22,9 @@ def rk4_step(field: Field, y: np.ndarray, h: float) -> np.ndarray:
 
 
 _STEPPERS = {"euler": euler_step, "rk4": rk4_step}
+INTEGRATORS = tuple(_STEPPERS)
 
 
 def step_fn(name: str):
-    try:
-        return _STEPPERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"integrator must be one of {INTEGRATORS}, got {name!r}"
-        ) from None
+    """The stepper of an integrator name, one of ``INTEGRATORS`` (``prepare`` checks it)."""
+    return _STEPPERS[name]

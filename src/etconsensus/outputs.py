@@ -17,32 +17,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
+from .config import check_fits, prepare_dict
 from .errors import ConfigError, EtcError
 from .graph import Graph
 
 # Rows of a record formatted per block by write_run_outputs.
 _WRITE_BLOCK = 256
-
-
-def check_fits(n_rows, row_bytes: int, what: str, fix: str = "shorten duration or raise h") -> None:
-    """Refuse the ``n_rows`` x ``row_bytes`` bytes ``what`` needs beyond this machine's memory."""
-    need = n_rows * row_bytes
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    if need > have:
-        raise ConfigError(
-            f"{what} need {need / 2**30:.3g} GiB, more than this machine's"
-            f" {have / 2**30:.3g} GiB of memory; {fix}"
-        )
 
 
 def derived_constants(prep) -> dict:
@@ -353,8 +339,6 @@ def load_run_record(run_dir) -> RunRecord:
     summary.json. The trigger series are not written, so the record has none
     (None). A missing or malformed file is a ConfigError naming it.
     """
-    from .config import prepare_dict
-
     run_dir = Path(run_dir)
     path = run_dir / "summary.json"
     try:

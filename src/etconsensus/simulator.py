@@ -28,6 +28,9 @@ disjoint union of their graphs. Every row's arithmetic is the one its run
 does alone, so each member of a ``run_batch`` is bit-for-bit its solo run,
 and a solo ``run`` is the batch of one.
 
+The run config (``SimConfig``, ``Prepared``, ``prepare``) lives in ``config``
+and is re-exported here as the same objects.
+
 Runs are bit-for-bit reproducible for a fixed numpy/BLAS build: no
 randomness, no wall-clock dependence in the dynamics, and a deterministic
 Jacobi eigensolver instead of LAPACK.
@@ -37,216 +40,29 @@ bitwise identical to a leader integrated alone.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Prepared, SimConfig, prepare  # the run config is part of this module's API
 from .control import (  # the Zeno guard is part of this module's API
-    TriggerParams,
     TriggerState,
     ZenoGuardReport,
-    build_trigger_params,
-    check_gain_condition,
     zeno_guard_report,
 )
-from .dynamics import CmfCertificate, SystemModel, make_model
-from .errors import ConfigError, NumericsError
+from .errors import NumericsError
 from .estimation import EstimatorBank, apply_broadcast, propagate_all
-from .graph import Graph, Laplacian, build_laplacian
-from .integrate import INTEGRATORS
 from .lockstep import Lockstep, lockstep
 from .outputs import (  # records and their files are part of this module's API
     RunRecord,
     RunSink,
-    check_fits,
     load_run_record,
     write_run_outputs,
 )
 
-CTC_VARIANTS = ("asymptotic", "practical")
-
 # Steps whose rows are buffered before each member's sink takes them.
 _STEP_BLOCK = 64
-
-
-@dataclass
-class SimConfig:
-    """Complete description of one simulation run.
-
-    ``seed`` is reserved for future stochastic extensions and unused: runs
-    are deterministic. ``b`` and ``epsilon`` may be None to take the defaults
-    b_i = 1/(5 l_ii) and epsilon = 1/lambda_max(L). ``check_synchrony`` is
-    accepted and echoed but does nothing: with one stored estimate per agent
-    the copies cannot disagree, so ``sync_mismatches`` is always 0.
-    """
-
-    n_agents: int
-    edges: list
-    x0: list
-    duration: float
-    ctc: str
-    kappa1: float
-    kappa2: float
-    sigma: object
-    P: list
-    rho: float
-    q: float
-    theta: list
-    theta_hat: list
-    model: str = "paper-sys"
-    h: float = 0.01
-    integrator: str = "rk4"
-    b: object = None
-    epsilon: float | None = None
-    xi: float = 0.0
-    dump_estimates: bool = False
-    check_synchrony: bool = True
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-ready form, one key per field."""
-
-        def plain(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, (list, tuple)):
-                return [plain(u) for u in v]
-            return v
-
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
-
-
-@dataclass(frozen=True, eq=False)
-class Prepared:
-    """A run's validated inputs and what its config derives.
-
-    ``n_steps`` is duration/h; h and the integrator are read from ``cfg``.
-    The step loop reads a ``lockstep.Lockstep`` built from one or more of
-    these, never a ``Prepared`` itself.
-    """
-
-    cfg: SimConfig
-    model: SystemModel
-    graph: Graph
-    lap: Laplacian
-    params: TriggerParams
-    cert: CmfCertificate
-    x0: np.ndarray
-    n_steps: int
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_finite_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _check_field_types(cfg: SimConfig) -> None:
-    """Reject a wrong type, a non-finite number or an unallocatable N before any field is used."""
-    if not _is_int(cfg.n_agents) or cfg.n_agents < 1:
-        raise ConfigError(f"n_agents must be a positive integer, got {cfg.n_agents!r}")
-    n = cfg.n_agents
-    check_fits(n * n, 8, f"the {n} x {n} adjacency of n_agents = {n}", "lower n_agents")
-    if not _is_int(cfg.seed):
-        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
-    if not isinstance(cfg.model, str):
-        raise ConfigError(f"model must be a model name, got {cfg.model!r}")
-    for name in ("dump_estimates", "check_synchrony"):
-        if not isinstance(getattr(cfg, name), (bool, np.bool_)):
-            raise ConfigError(f"{name} must be true or false, got {getattr(cfg, name)!r}")
-    for name in ("h", "duration", "kappa1", "kappa2", "xi", "rho", "q", "epsilon"):
-        v = getattr(cfg, name)
-        if not (_is_finite_real(v) or (v is None and name == "epsilon")):
-            raise ConfigError(f"{name} must be a finite number, got {v!r}")
-    for name in ("theta", "theta_hat", "x0", "sigma", "b", "P"):
-        v = getattr(cfg, name)
-        if v is None and name == "b":
-            continue
-        try:
-            arr = np.asarray(v)
-        except ValueError:  # ragged nesting
-            arr = None
-        if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-            raise ConfigError(
-                f"{name} must be a number or a rectangular array of finite numbers, got {v!r}"
-            )
-    edges = cfg.edges if isinstance(cfg.edges, (list, tuple)) else [cfg.edges]
-    for edge in edges:
-        if not (
-            isinstance(edge, (list, tuple))
-            and len(edge) in (2, 3)
-            and all(_is_int(v) for v in edge[:2])
-            and all(_is_finite_real(v) for v in edge[2:])
-        ):
-            raise ConfigError(
-                f"edges entry {edge!r} must be [i, j] or [i, j, weight]"
-                " with integer agent ids and a finite weight"
-            )
-
-
-def prepare(cfg: SimConfig) -> Prepared:
-    """Validate a config and derive every object a run needs.
-
-    Raises ConfigError (or a more specific package error) naming the field
-    and the violated constraint.
-    """
-    _check_field_types(cfg)
-    if cfg.h <= 0.0:
-        raise ConfigError(f"h must be > 0, got {cfg.h!r}")
-    if cfg.duration < 0.0:
-        raise ConfigError(f"duration must be >= 0, got {cfg.duration!r}")
-    steps = cfg.duration / cfg.h
-    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
-        raise ConfigError(
-            f"duration must be an integer multiple of h, got duration = {cfg.duration!r}"
-            f" and h = {cfg.h!r}"
-        )
-    if cfg.integrator not in INTEGRATORS:
-        raise ConfigError(
-            f"integrator must be one of {INTEGRATORS}, got {cfg.integrator!r}"
-        )
-    if cfg.ctc not in CTC_VARIANTS:
-        raise ConfigError(f"ctc must be one of {CTC_VARIANTS}, got {cfg.ctc!r}")
-    if cfg.ctc == "practical" and cfg.xi <= 0.0:
-        raise ConfigError(f"xi must be > 0 when ctc is practical, got {cfg.xi!r}")
-    if cfg.ctc == "asymptotic" and cfg.xi != 0.0:
-        raise ConfigError(f"xi must be 0 when ctc is asymptotic, got {cfg.xi!r}")
-
-    model = make_model(cfg.model, cfg.theta, cfg.theta_hat)
-    graph = Graph.from_edges(cfg.n_agents, cfg.edges)
-    lap = build_laplacian(graph, cfg.epsilon)
-
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (cfg.n_agents, model.state_dim):
-        raise ConfigError(
-            f"x0 must have shape {(cfg.n_agents, model.state_dim)}, got {x0.shape}"
-        )
-
-    P = np.asarray(cfg.P, dtype=float)
-    if P.shape != (model.state_dim, model.state_dim):
-        raise ConfigError(
-            f"P must have shape {(model.state_dim, model.state_dim)}, got {P.shape}"
-        )
-    cert = CmfCertificate(P=P, rho=cfg.rho, q=cfg.q)
-    check_gain_condition(cfg.kappa1, cfg.rho, lap.mu)
-    params = build_trigger_params(
-        lap,
-        cert.P,
-        model.B,
-        kappa1=cfg.kappa1,
-        kappa2=cfg.kappa2,
-        sigma=cfg.sigma,
-        b=cfg.b,
-        xi=cfg.xi,
-    )
-    return Prepared(cfg, model, graph, lap, params, cert, x0, int(round(steps)))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Config files, presets, and the command-line entry point."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -13,7 +14,9 @@ import pytest
 import etconsensus
 from etconsensus.cli import _sub_batches, main
 from etconsensus.config import (
+    _KINDS,
     PRESET_NAMES,
+    SimConfig,
     config_from_dict,
     load_config,
     load_preset,
@@ -22,6 +25,20 @@ from etconsensus.config import (
 )
 from etconsensus.errors import ConfigError
 from etconsensus.lockstep import lockstep
+
+
+# One value per field kind that a field of that kind refuses.
+BAD_VALUE_OF_KIND = {
+    "count": 0,
+    "int": 1.5,
+    "name": 5,
+    "flag": "no",
+    "real": "x",
+    "positive": 0.0,
+    "non-negative": -1.0,
+    "array": "high",
+    "edges": [1, 2],
+}
 
 
 def write_json(path, data):
@@ -160,6 +177,13 @@ class TestConfigFiles:
             ("seed", 1.5),
             ("seed", True),
             ("n_agents", 100_000_000),  # an 8e16-byte adjacency, beyond any machine's memory
+            ("check_synchrony", 1),
+            ("epsilon", "small"),
+            ("b", [0.1, [0.1, 0.1], 0.1, 0.1, 0.1]),
+            ("xi", "0"),
+            ("ctc", ["practical"]),
+            # 1/b_2 overflows: s_2 = inf - inf = NaN would never fire
+            ("b", [0.1, 0.1, 5e-324, 0.1, 0.1]),
         ],
     )
     def test_malformed_value_exits_2_naming_field(self, field, value, tmp_path, capsys):
@@ -170,6 +194,21 @@ class TestConfigFiles:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert field in err
+
+    def test_every_field_declares_a_kind_prepare_knows(self):
+        for f in dataclasses.fields(SimConfig):
+            kind = f.metadata.get("kind")
+            choices = isinstance(kind, tuple) and all(isinstance(c, str) for c in kind)
+            assert choices or kind in _KINDS, f"{f.name} declares no known kind: {kind!r}"
+
+    @pytest.mark.parametrize("f", dataclasses.fields(SimConfig), ids=lambda f: f.name)
+    def test_every_field_refuses_a_value_not_of_its_kind(self, f, tmp_path, capsys):
+        kind = f.metadata["kind"]
+        d = preset_config("paper-asym-040")
+        d[f.name] = "none-such" if isinstance(kind, tuple) else BAD_VALUE_OF_KIND[kind]
+        cfgp = write_json(tmp_path / "c.json", d)
+        assert main(["run", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {f.name} ")
 
     @pytest.mark.parametrize(
         "values,named",
@@ -427,6 +466,28 @@ SWEEP_GRID = {
 
 def sweep_spec_file(tmp_path):
     return write_json(tmp_path / "sweep.json", {"preset": "paper-asym-040", "grid": SWEEP_GRID})
+
+
+class TestEntryPoint:
+    """``python -m etconsensus`` in a fresh process, as a user runs it."""
+
+    def _module(self, *argv):
+        src = str(Path(etconsensus.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "etconsensus", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+    def test_run_exits_0_and_writes_its_summary(self, tmp_path):
+        cfgp = write_json(tmp_path / "c.json", {**preset_config("paper-asym-040"), "duration": 0.5})
+        proc = self._module("run", "--config", cfgp, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["error"] is None
+
+    def test_malformed_config_exits_2(self, tmp_path):
+        cfgp = write_json(tmp_path / "c.json", {**preset_config("paper-asym-040"), "h": "0.01"})
+        proc = self._module("run", "--config", cfgp, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: h ")
 
 
 class TestSweep:

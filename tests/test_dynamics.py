@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from etconsensus.dynamics import (
+    LIPSCHITZ_SAFETY,
     CmfCertificate,
     SystemModel,
     available_models,
@@ -243,23 +244,20 @@ class TestCertificate:
 class TestLipschitz:
     def test_benchmark_constants(self, lipschitz_cache):
         model, lip = lipschitz_cache([0.40])
-        assert math.isclose(lip.k_grid_max, 1.676895, abs_tol=1e-3)
-        assert lip.k == 1.05 * lip.k_grid_max
-        assert math.isclose(lip.delta_grid_max, 0.176139, abs_tol=1e-3)
-        assert lip.Delta == 1.05 * lip.delta_grid_max
+        assert math.isclose(lip.k / LIPSCHITZ_SAFETY, 1.676895, abs_tol=1e-3)
+        assert math.isclose(lip.Delta / LIPSCHITZ_SAFETY, 0.176139, abs_tol=1e-3)
 
     def test_larger_mismatch_for_worse_estimate(self, lipschitz_cache):
         _, lip40 = lipschitz_cache([0.40])
         _, lip35 = lipschitz_cache([0.35])
-        assert math.isclose(lip35.delta_grid_max, 0.261130, abs_tol=1e-3)
+        assert math.isclose(lip35.Delta / LIPSCHITZ_SAFETY, 0.261130, abs_tol=1e-3)
         assert lip35.Delta > lip40.Delta
-        assert math.isclose(lip35.k_grid_max, lip40.k_grid_max, rel_tol=1e-6)
+        assert math.isclose(lip35.k, lip40.k, rel_tol=1e-6)
 
     def test_zero_mismatch_when_estimate_exact(self):
         model = make_model("paper-sys", [0.5], [0.5])
         lip = estimate_lipschitz(model, trig_grid(step=0.5))
         assert lip.Delta == 0.0
-        assert lip.delta_grid_max == 0.0
         assert lip.k > 0.0
 
     def test_empty_grid_rejected(self):

@@ -100,8 +100,6 @@ def assert_cmf_matches(model, cert, states, thetas, jacobian=None):
 def assert_lipschitz_matches(model, states, thetas, jacobian=None):
     k_raw, delta_raw = lipschitz_ref(model, states, thetas, jacobian or model.jacobian_f)
     lip = estimate_lipschitz(model, states, thetas=thetas)
-    assert same_bits(lip.k_grid_max, k_raw)
-    assert same_bits(lip.delta_grid_max, delta_raw)
     assert same_bits(lip.k, LIPSCHITZ_SAFETY * k_raw)
     assert same_bits(lip.Delta, LIPSCHITZ_SAFETY * delta_raw)
     return lip

@@ -327,15 +327,15 @@ class TestZenoGuard:
         assert report.min_inter_event[3] < report.tau[3]
 
     def test_degenerate_agent_leaves_the_others_bounded(self, run_cache, lipschitz_cache):
-        """b_i = 5e-324 makes s_i inf - inf = NaN: that agent's tau is inf, as
-        when its norm failed alone, and every other agent keeps its bound."""
+        """A NaN s_i (``prepare`` refuses one; see the malformed-config cases):
+        that agent's tau is inf, as when its norm failed alone, and every
+        other agent keeps its bound."""
         rec = run_cache("paper-zeno-040", duration=5.0)
         prep = prepare(rec.config)
         _, lip = lipschitz_cache([0.40])
-        b = (1.0 / (5.0 * np.diag(prep.lap.L))).tolist()
-        b[2] = 5e-324
-        with np.errstate(all="ignore"):
-            params = prepare(dataclasses.replace(rec.config, b=b)).params
+        s_coeff = prep.params.s_coeff.copy()
+        s_coeff[2] = math.nan
+        params = dataclasses.replace(prep.params, s_coeff=s_coeff)
         assert np.isnan(params.s_coeff[2])
         with np.errstate(all="ignore"):
             report = zeno_guard_report(rec, params, lip)
