@@ -4,12 +4,14 @@ Exit codes: 0 on success, 2 for configuration problems, 3 when a run aborts
 on non-finite numerics (the partial record is still flushed to disk). A sweep
 runs every point; if some fail it exits 3 when any failed on numerics and 2
 otherwise.
+
+``run`` and ``sweep`` give each run's sink its Lipschitz data and write its
+summary.json with ``write_run_outputs``, the writer a library caller uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -24,18 +26,12 @@ from .config import (
     prepare_dict,
     preset_config,
 )
-from .control import practical_consensus_bound
-from .dynamics import check_cmf, estimate_lipschitz, trig_grid
+from .dynamics import check_cmf, trig_grid
 from .errors import ConfigError, EtcError, NumericsError
 from .lockstep import SHARED_FIELDS
-from .metrics import MetricReport, compute_metrics, markdown_tables
-from .outputs import RunSink, csv_columns
-from .simulator import (
-    load_run_record,
-    run_batch,
-    write_run_outputs,
-    zeno_guard_report,
-)
+from .metrics import compute_metrics, markdown_tables
+from .outputs import RunSink, csv_columns, practical_lipschitz
+from .simulator import load_run_record, run_batch, write_run_outputs
 
 _SWEEP_LIMIT = 10_000
 
@@ -55,53 +51,20 @@ def _fmt_sig(v) -> str:
     return format(float(v), ".17g")
 
 
-def _lipschitz(prep, known: dict):
-    """A practical run's Lipschitz data, estimated once per model and theta pair in ``known``.
-
-    Asymptotic runs need none. Estimate before opening a run's sink, so the
-    grid's arrays are freed before the run's exist.
-    """
-    if prep.cfg.ctc != "practical":
-        return None
-    key = (prep.cfg.model, prep.model.theta_true.tobytes(), prep.model.theta_hat.tobytes())
-    if key not in known:
-        known[key] = estimate_lipschitz(prep.model, trig_grid())
-    return known[key]
-
-
-def _close_point(prep, lip, streamed, out) -> dict:
-    """Write a streamed run's summary.json into ``out``; return its metric report dict.
-
-    A run that went non-finite gets the summary of its partial outputs.
-    """
-    extra = {}
-    if lip is not None and streamed.error is None:
-        guard = zeno_guard_report(streamed, prep.params, lip)
-        extra["bounds"] = {
-            "practical_consensus_bound": practical_consensus_bound(
-                prep.cfg.n_agents, prep.cfg.xi, prep.cfg.q, prep.cert.P
-            ),
-            "lipschitz": dataclasses.asdict(lip),
-        }
-        extra["zeno_guard"] = dataclasses.asdict(guard)
-    report = compute_metrics(streamed)
-    write_run_outputs(streamed, out, extra_summary=extra, report=report)
-    return report.to_dict()
-
-
 def cmd_run(args) -> int:
     prep = _load_run(args)
     out = Path(args.out)
-    lip = _lipschitz(prep, {})
-    (streamed,) = run_batch([prep], [RunSink(prep, out)])
-    report = _close_point(prep, lip, streamed, out)
+    lip = practical_lipschitz(prep, {})
+    (streamed,) = run_batch([prep], [RunSink(prep, out, lip)])
+    report = compute_metrics(streamed)
+    write_run_outputs(streamed, out, report=report)
     if streamed.error is not None:
         print(f"partial record flushed to {out}", file=sys.stderr)
         raise NumericsError(streamed.error)
     print(
-        f"run complete: gamma = {report['gamma']:.6g},"
-        f" events = {report['comm_count']},"
-        f" V {report['v_initial']:.6g} -> {report['v_final']:.6g}"
+        f"run complete: gamma = {report.gamma:.6g},"
+        f" events = {report.comm_count},"
+        f" V {report.v_initial:.6g} -> {report.v_final:.6g}"
     )
     print(f"outputs written to {out}")
     return 0
@@ -116,7 +79,8 @@ def _slug_value(v) -> str:
 def _sweep_points(grid: dict, limit: int | None) -> list:
     """Cartesian product over grid axes; a key "a,b" pairs two fields.
 
-    A grid of more than ``limit`` points is refused before any is built.
+    A grid of more than ``limit`` points is refused before any is built, and
+    so is one in which two points share a slug, which names their directory.
     """
     if not isinstance(grid, dict):
         raise ConfigError(
@@ -138,26 +102,30 @@ def _sweep_points(grid: dict, limit: int | None) -> list:
                         f"grid entry {key!r} pairs {len(subkeys)} fields;"
                         f" every value must be a list of that length"
                     )
-        value_lists.append(values)
+        value_lists.append(list(enumerate(values)))
     n_points = math.prod(len(values) for values in value_lists)
     if limit is not None and n_points > limit:
         raise ConfigError(
             f"sweep has {n_points} points, more than {limit}; pass --force to proceed"
         )
     points = []
+    seen = {}  # slug -> the (index, value) per axis of the point that has it
     for combo in itertools.product(*value_lists):
         overrides = {}
         tokens = []
-        for key, value in zip(keys, combo):
+        for key, (_, value) in zip(keys, combo):
             subkeys = key.split(",")
-            if len(subkeys) == 1:
-                overrides[key] = value
-                tokens.append(f"{key}={_slug_value(value)}")
-            else:
-                for sk, sv in zip(subkeys, value):
-                    overrides[sk] = sv
-                    tokens.append(f"{sk}={_slug_value(sv)}")
-        points.append(("__".join(tokens), overrides))
+            for sk, sv in zip(subkeys, value if len(subkeys) > 1 else [value]):
+                overrides[sk] = sv
+                tokens.append(f"{sk}={_slug_value(sv)}")
+        slug = "__".join(tokens)
+        if slug in seen:
+            key = next(k for k, (i, _), (j, _) in zip(keys, combo, seen[slug]) if i != j)
+            raise ConfigError(
+                f"grid entry {key!r} gives two points the slug {slug!r}, their output directory"
+            )
+        seen[slug] = combo
+        points.append((slug, overrides))
     return points
 
 
@@ -165,7 +133,7 @@ def _sweep_batch(items) -> list:
     """Run one chunk of sweep points: [(slug, report, None) or (slug, None, (exit code, message))].
 
     Every point is prepared on its own, so a bad one fails alone; the rest
-    are opened, run in lockstep as one batch and closed. ``_sub_batches``
+    are opened, run in lockstep as one batch and written. ``_sub_batches``
     gave them equal ``SHARED_FIELDS``, so they share what ``lockstep`` needs.
     The sinks live only as long as this call, so one chunk's are held at a time.
     """
@@ -175,24 +143,21 @@ def _sweep_batch(items) -> list:
     for slug, config_dict, out_dir in items:
         try:
             prep = prepare_dict(config_dict)
-            estimated.append((slug, prep, _lipschitz(prep, known), Path(out_dir) / slug))
+            estimated.append((slug, Path(out_dir) / slug, prep, practical_lipschitz(prep, known)))
         except EtcError as exc:
             results.append((slug, None, (2, str(exc))))
     opened = []
-    for slug, prep, lip, out in estimated:
+    for slug, out, prep, lip in estimated:
         try:
-            opened.append((slug, prep, lip, out, RunSink(prep, out)))
+            opened.append((slug, out, RunSink(prep, out, lip)))
         except EtcError as exc:
             results.append((slug, None, (2, str(exc))))
     if not opened:
         return results
-    slugs, preps, lips, outs, sinks = zip(*opened)
-    for slug, prep, lip, out, streamed in zip(slugs, preps, lips, outs, run_batch(preps, sinks)):
-        try:
-            report = _close_point(prep, lip, streamed, out)
-        except EtcError as exc:
-            results.append((slug, None, (2, str(exc))))
-            continue
+    slugs, outs, sinks = zip(*opened)
+    for slug, out, streamed in zip(slugs, outs, run_batch([s.prep for s in sinks], sinks)):
+        report = compute_metrics(streamed)
+        write_run_outputs(streamed, out, report=report)
         if streamed.error is None:
             results.append((slug, report, None))
         else:
@@ -264,18 +229,14 @@ def cmd_sweep(args) -> int:
     summary = {
         "n_points": len(results),
         "grid": spec["grid"],
-        "points": done,
+        "points": {slug: report.to_dict() for slug, report in done.items()},
     }
     if failed:
         summary["failed"] = {slug: message for slug, (_, message) in failed.items()}
     (out / "sweep_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
-    reports = {
-        slug: MetricReport(**{**rep, "per_agent_event_counts": tuple(rep["per_agent_event_counts"])})
-        for slug, rep in done.items()
-    }
-    (out / "tables.md").write_text(markdown_tables(reports) + "\n")
+    (out / "tables.md").write_text(markdown_tables(done) + "\n")
     print(f"sweep complete: {len(done)} runs under {out}")
     if not failed:
         return 0

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, UsageError
+from .errors import CertificateError, ConfigError, DegenerateError, UsageError
 from .graph import Laplacian
 from .linalg import eigvalsh, spectral_norm
 
@@ -195,8 +195,6 @@ def practical_consensus_bound(N: int, xi: float, q: float, P: np.ndarray) -> flo
     P = np.asarray(P, dtype=float)
     lam_min = float(eigvalsh(P)[0])
     if lam_min <= 0.0:
-        from .errors import CertificateError
-
         raise CertificateError("P must be positive definite")
     return N * xi / (q * lam_min)
 

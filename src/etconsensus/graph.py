@@ -8,7 +8,7 @@ Laplacian L, its follower block L22, and the row sums of L squared.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

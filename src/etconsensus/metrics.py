@@ -12,7 +12,6 @@ not part of gamma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -8,22 +8,27 @@ time, so the text of a file is never held in memory at once;
 ``RunSink(prep)`` keeps every sample in memory instead. Either way ``close``
 returns the run's ``RunRecord``.
 
-``write_run_outputs`` writes a record's summary.json, after its CSVs when the
-record kept its samples. ``load_run_record`` reads a run directory back
-through an in-memory sink of the run's config.
+A practical run's sink is also given its Lipschitz data, and at close puts
+the run's ``bounds`` and ``zeno_guard`` report on the record.
+
+``write_run_outputs`` writes every key of a record's summary.json, after its
+CSVs when the record kept its samples. ``load_run_record`` reads a run
+directory back through an in-memory sink of the run's config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .config import check_fits, prepare_dict
+from .control import ZenoGuardReport, practical_consensus_bound, zeno_guard_report
+from .dynamics import LipschitzData, estimate_lipschitz, trig_grid
 from .errors import ConfigError, EtcError
 from .graph import Graph
 
@@ -51,6 +56,20 @@ def derived_constants(prep) -> dict:
     }
 
 
+def practical_lipschitz(prep, known: dict) -> LipschitzData | None:
+    """A practical run's Lipschitz data, estimated once per model and theta pair in ``known``.
+
+    Asymptotic runs need none. Estimate before opening a run's sink, so the
+    grid's arrays are freed before the run's exist.
+    """
+    if prep.cfg.ctc != "practical":
+        return None
+    key = (prep.cfg.model, prep.model.theta_true.tobytes(), prep.model.theta_hat.tobytes())
+    if key not in known:
+        known[key] = estimate_lipschitz(prep.model, trig_grid())
+    return known[key]
+
+
 def degrees(graph: Graph) -> np.ndarray:
     return (graph.adjacency > 0).sum(axis=1).astype(int)
 
@@ -70,6 +89,10 @@ class RunRecord:
     ``min_inter_event`` (each agent's shortest gap between two of its
     events, inf below two events).
 
+    On a practical run that was not cut short and whose sink had its
+    Lipschitz data: ``bounds`` (the consensus bound and that data) and
+    ``zeno_guard``, the Zeno guard's report.
+
     The samples, None on a streamed record: ``event_flags`` (samples, N), the
     event log, True where an agent broadcast at that instant; ``states``;
     ``delta``, ``threshold``, ``w_norm``, ``e_norm``, the trigger quantities
@@ -87,6 +110,8 @@ class RunRecord:
     r_norm_sum: float
     w_max: np.ndarray | None = None
     min_inter_event: tuple | None = None
+    bounds: dict | None = None
+    zeno_guard: ZenoGuardReport | None = None
     states: np.ndarray | None = None
     event_flags: np.ndarray | None = None
     delta: np.ndarray | None = None
@@ -190,11 +215,13 @@ class RunSink:
     states.csv written so far, whose "%.17g" text gives every double back
     exactly. Kept per agent: the event counts and, when the rows carry the
     |w| the sink asks for (a streamed sink asks on practical runs only), the
-    Zeno guard's running largest |w| and shortest gap between events. A sink
-    that would not fit in memory is refused before its directory is made.
+    Zeno guard's running largest |w| and shortest gap between events.
+    ``lipschitz`` is a practical run's ``LipschitzData``, for the record's
+    ``bounds`` and ``zeno_guard``. A sink that would not fit in memory is
+    refused before its directory is made.
     """
 
-    def __init__(self, prep, out_dir=None):
+    def __init__(self, prep, out_dir=None, lipschitz: LipschitzData | None = None):
         n_agents, dim = prep.x0.shape
         rows = prep.n_steps + 1
         dump = prep.cfg.dump_estimates
@@ -208,6 +235,7 @@ class RunSink:
             row_bytes = 16
         check_fits(rows, row_bytes, f"duration/h = {prep.n_steps} steps")
         self.prep = prep
+        self.lipschitz = lipschitz
         self.csv = None if out_dir is None else CsvWriter(out_dir, n_agents, dim, dump)
         self.kept = {}
         self.times = np.empty(rows)
@@ -255,7 +283,7 @@ class RunSink:
             else:
                 states = _read_states(self.csv.out / "states.csv", prep)[1]
             r_norm_sum = metrics_mod.r_norms(states).sum()
-        return RunRecord(
+        record = RunRecord(
             times=self.times[:n],
             v_series=self.v[:n],
             per_agent_event_counts=self.counts,
@@ -272,20 +300,24 @@ class RunSink:
             runtime_seconds=runtime,
             error=error,
         )
+        lip, cfg = self.lipschitz, prep.cfg
+        if lip is not None and error is None and record.w_max is not None:
+            bound = practical_consensus_bound(cfg.n_agents, cfg.xi, cfg.q, prep.cert.P)
+            record.bounds = {"practical_consensus_bound": bound, "lipschitz": asdict(lip)}
+            record.zeno_guard = zeno_guard_report(record, prep.params, lip)
+        return record
 
 
 def write_run_outputs(
-    record: RunRecord,
-    out_dir,
-    extra_summary: dict | None = None,
-    report: metrics_mod.MetricReport | None = None,
+    record: RunRecord, out_dir, report: metrics_mod.MetricReport | None = None
 ) -> Path:
     """Write summary.json into ``out_dir``, after the CSVs of a record that kept its samples.
 
-    A streamed record's CSVs are in its directory already. Kept samples go
-    through the CSV writer in blocks of rows. ``report`` is the record's
-    metric report when the caller already has it; otherwise it is computed
-    here.
+    Every summary key is written here, ``bounds`` and ``zeno_guard`` when
+    the record has them. A streamed record's CSVs are in its directory
+    already. Kept samples go through the CSV writer in blocks of rows.
+    ``report`` is the record's metric report when the caller already has it;
+    otherwise it is computed here.
     """
     out = Path(out_dir)
     if record.states is not None:
@@ -310,8 +342,8 @@ def write_run_outputs(
         "runtime_seconds": record.runtime_seconds,
         "error": record.error,
     }
-    if extra_summary:
-        summary.update(extra_summary)
+    if record.zeno_guard is not None:
+        summary.update(bounds=record.bounds, zeno_guard=asdict(record.zeno_guard))
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return out
 

@@ -58,6 +58,7 @@ from .outputs import (  # records and their files are part of this module's API
     RunRecord,
     RunSink,
     load_run_record,
+    practical_lipschitz,
     write_run_outputs,
 )
 
@@ -299,15 +300,18 @@ def run_batch(preps, sinks=None) -> list:
     (``times``, ``states``, ``flags``, the trigger series any sink names in
     its ``series``, and ``est`` when any member dumps estimates), and
     ``sink.close(runtime, error)`` gives the member's result. Without sinks
-    every member is kept in memory by an ``outputs.RunSink`` and comes back as
-    its ``RunRecord``. A member that becomes
-    non-finite is closed after its last finite row with the error its solo
-    run raises, and leaves the batch; the others carry on. Returns the
-    results in member order; ``runtime`` is the batch's loop time up to the
-    member's close.
+    every member is kept in memory by an ``outputs.RunSink``, given its
+    Lipschitz data when practical, and comes back as its ``RunRecord``. A
+    member that becomes non-finite is closed after its last finite row with
+    the error its solo run raises, and leaves the batch; the others carry
+    on. Returns the results in member order; ``runtime`` is the batch's loop
+    time up to the member's close.
     """
     preps = list(preps)
-    sinks = [RunSink(p) for p in preps] if sinks is None else list(sinks)
+    if sinks is None:
+        known = {}  # Lipschitz data per model and theta pair, each estimated before its sink opens
+        sinks = [RunSink(p, None, practical_lipschitz(p, known)) for p in preps]
+    sinks = list(sinks)
     names = ("states", "flags", *dict.fromkeys(s for k in sinks for s in k.series))
     if any(p.cfg.dump_estimates for p in preps):
         names += ("est",)
@@ -353,9 +357,10 @@ def run(spec: Prepared | SimConfig) -> RunRecord:
     """Execute duration/h steps and return the complete record.
 
     ``spec`` is a prepared run, or a config that is prepared here once.
-    Bit-identical across repeated invocations with the same config. If the
-    state becomes non-finite, the NumericsError carries the truncated record
-    (every completed step) as ``partial_record``.
+    Bit-identical across repeated invocations with the same config. A
+    practical run's record also carries its ``bounds`` and ``zeno_guard``.
+    If the state becomes non-finite, the NumericsError carries the truncated
+    record (every completed step) as ``partial_record``.
     """
     prep = spec if isinstance(spec, Prepared) else prepare(spec)
     (record,) = run_batch([prep])

@@ -244,6 +244,26 @@ class TestConfigFiles:
         assert err.startswith("config error: ")
         assert field in err
 
+    @pytest.mark.parametrize(
+        "grid,key,slug",
+        [
+            ({"sigma": [0.5, 0.5]}, "sigma", "sigma=0.5"),
+            ({"sigma": [0.5, "0.5"]}, "sigma", "sigma=0.5"),
+            ({"kappa1": [0.1, 0.2], "sigma": [0.7, 0.5, 0.5]}, "sigma", "kappa1=0.1__sigma=0.5"),
+            ({"ctc,xi": [["practical", 20], ["practical", "20"]]}, "ctc,xi", "ctc=practical__xi=20"),
+        ],
+    )
+    def test_points_sharing_a_slug_exit_2_before_any_runs(self, grid, key, slug, tmp_path, capsys):
+        """Two points with one slug would write one output directory."""
+        specp = write_json(tmp_path / "s.json", {"preset": "paper-asym-040", "grid": grid})
+        out = tmp_path / "o"
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", specp, "--out", str(out), "--jobs", jobs]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert repr(key) in err and repr(slug) in err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_writes_three_files(self, short_run):
@@ -594,6 +614,17 @@ class TestSweep:
         for sub in (p.name for p in out1.iterdir() if p.is_dir()):
             assert (out1 / sub / "states.csv").read_bytes() == (out2 / sub / "states.csv").read_bytes()
             assert (out1 / sub / "events.csv").read_bytes() == (out2 / sub / "events.csv").read_bytes()
+
+    def test_values_with_distinct_slugs_each_get_a_point(self, tmp_path, capsys):
+        base = {**preset_config("paper-asym-040"), "duration": 0.1}
+        specp = write_json(tmp_path / "s.json", {"base": base, "grid": {"kappa1": [1, 1.0]}})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", specp, "--out", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["n_points"] == 2
+        assert sorted(summary["points"]) == ["kappa1=1", "kappa1=1.0"]
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["kappa1=1", "kappa1=1.0"]
 
     def test_base_variant(self, tmp_path):
         base = preset_config("paper-asym-040")

@@ -5,8 +5,9 @@ of their graphs. Every member must equal its solo ``run()`` bit for bit, in
 states, event flags and every trigger series, whatever else is in the batch:
 a change of the stacked shape must not change a row's arithmetic. The CLI
 streams a run into ``RunSink``; its files and summary must equal those
-``write_run_outputs`` makes from the complete record, and a sweep point must
-equal its solo ``run`` byte for byte, a point that goes non-finite included.
+``write_run_outputs`` makes from the complete record, every summary key
+included, and a sweep point must equal its solo ``run`` byte for byte, a
+point that goes non-finite included.
 """
 
 import importlib.util
@@ -19,10 +20,9 @@ import pytest
 
 from etconsensus import metrics
 from etconsensus.cli import main
-from etconsensus.config import prepare_dict, preset_config
-from etconsensus.dynamics import estimate_lipschitz, trig_grid
+from etconsensus.config import load_preset, prepare_dict, preset_config
 from etconsensus.errors import NumericsError, UsageError
-from etconsensus.outputs import RunSink
+from etconsensus.outputs import RunSink, practical_lipschitz
 from etconsensus.simulator import run, run_batch, write_run_outputs, zeno_guard_report
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -149,16 +149,44 @@ def test_streamed_run_matches_the_record(preset, integrator, tmp_path):
     """One formatter: the sink's files and summary fields equal the record's."""
     prep = prepare_dict(preset_config(preset), duration=10.0, integrator=integrator,
                         dump_estimates=True)
-    (streamed,) = run_batch([prep], [RunSink(prep, tmp_path / "streamed")])
+    lip = practical_lipschitz(prep, {})
+    (streamed,) = run_batch([prep], [RunSink(prep, tmp_path / "streamed", lip)])
     record = run(prep)
     write_run_outputs(streamed, tmp_path / "streamed")
     write_run_outputs(record, tmp_path / "record")
     _run_dir_equal(tmp_path / "streamed", tmp_path / "record")
     if prep.cfg.ctc == "practical":
-        lip = estimate_lipschitz(prep.model, trig_grid())
         assert zeno_guard_report(streamed, prep.params, lip) == zeno_guard_report(
             record, prep.params, lip
         )
+
+
+@pytest.mark.parametrize("preset", ["paper-zeno-040", "paper-asym-040"])
+def test_library_writes_the_summary_the_cli_writes(preset, tmp_path, capsys):
+    """One summary writer: ``write_run_outputs(run(prep))`` gives the files of ``etconsensus run``."""
+    write_run_outputs(run(load_preset(preset)), tmp_path / "library")
+    assert main(["run", "--preset", preset, "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    _run_dir_equal(tmp_path / "library", tmp_path / "cli")
+    summary = json.loads((tmp_path / "library" / "summary.json").read_text())
+    practical = preset.startswith("paper-zeno")
+    assert ("bounds" in summary, "zeno_guard" in summary) == (practical, practical)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cut_short_practical_run_gets_no_bounds_on_either_path(tmp_path, capsys):
+    cfg = {**preset_config("paper-zeno-040"), "kappa1": 1e300, "duration": 1.0}
+    with pytest.raises(NumericsError) as exc_info:
+        run(prepare_dict(cfg))
+    write_run_outputs(exc_info.value.partial_record, tmp_path / "library")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "cli")]) == 3
+    capsys.readouterr()
+    _run_dir_equal(tmp_path / "library", tmp_path / "cli")
+    summary = json.loads((tmp_path / "cli" / "summary.json").read_text())
+    assert summary["error"]
+    assert "bounds" not in summary and "zeno_guard" not in summary
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
