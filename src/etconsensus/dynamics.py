@@ -15,8 +15,8 @@ Two numerical checks certify the data a run depends on:
   inflated by a small safety factor.
 
 Both walk the grid in fixed-size chunks of states, one vectorized pass per
-chunk, so the temporaries stay bounded however fine the grid is. Like ``f``,
-a model's ``jacobian_f`` maps states of shape (..., n) to Jacobians of shape
+chunk, so the temporaries stay bounded however fine the grid is. A model's
+``jacobian_f`` maps states of shape (..., n) to Jacobians of shape
 (..., n, n); a Jacobian that does not depend on the state may come back as
 one (n, n) matrix and is broadcast.
 
@@ -47,9 +47,10 @@ LIPSCHITZ_SAFETY = 1.05
 class SystemModel:
     """Input-affine model dx/dt = f(x, theta) + B u with a boxed parameter.
 
-    ``f`` maps states (..., n) to drifts (..., n) and ``jacobian_f`` maps them
+    ``f(x, theta, out)`` writes the drifts at states x (..., n) into ``out``,
+    an array of x's shape that does not overlap x; ``jacobian_f`` maps states
     to Jacobians (..., n, n), or to one (n, n) matrix when constant. The
-    parameter passed to ``f`` is either one (p,) vector for every state, or a
+    parameter passed to either is one (p,) vector for every state, or a
     (..., p) array aligned with the states' leading axes, one parameter per
     state: the simulator steps true states and estimates as one stack, each
     row under its own parameter.
@@ -59,7 +60,7 @@ class SystemModel:
     state_dim: int
     input_dim: int
     param_dim: int
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     jacobian_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     B: np.ndarray
     theta_true: np.ndarray
@@ -119,15 +120,19 @@ def make_model(name: str, theta=None, theta_hat=None) -> SystemModel:
     return builder(theta, theta_hat)
 
 
-def _paper_f(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _paper_f(x: np.ndarray, theta: np.ndarray, out: np.ndarray) -> None:
     th = theta[..., 0]
     z1 = x[..., 0]
-    z2 = x[..., 1]
-    tc2 = th * np.cos(z2)
-    out = np.empty_like(x)
-    out[..., 0] = z2 + tc2
-    out[..., 1] = (tc2 - z1) + (th * th) * np.cos(z1) * np.sin(z1)
-    return out
+    c = np.cos(x)
+    c1, tc2 = c[..., 0], c[..., 1]
+    f1, f2 = out[..., 0], out[..., 1]
+    np.multiply(th, tc2, tc2)
+    np.sin(z1, f1)  # f1 holds sin z1 until its own value goes in last
+    np.multiply(th * th, c1, c1)
+    np.multiply(c1, f1, c1)
+    np.subtract(tc2, z1, f2)
+    np.add(f2, c1, f2)
+    np.add(x[..., 1], tc2, f1)
 
 
 def _paper_jacobian(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -305,7 +310,10 @@ def estimate_lipschitz(
     theta_true = _as_theta(model, model.theta_true)
     drift_max = []
     for xs in _chunks(states):
-        drift = model.f(xs, theta_hat) - model.f(xs, theta_true)
+        drift, true = np.empty_like(xs), np.empty_like(xs)
+        model.f(xs, theta_hat, drift)
+        model.f(xs, theta_true, true)
+        drift -= true
         drift_max.append(np.sqrt((drift * drift).sum(axis=1)).max())
     delta_raw = float(np.max(drift_max))
     return LipschitzData(k=LIPSCHITZ_SAFETY * k_raw, Delta=LIPSCHITZ_SAFETY * delta_raw)

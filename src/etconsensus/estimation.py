@@ -62,14 +62,16 @@ class EstimatorBank:
 
 
 def propagate_all(
-    y: np.ndarray, field: Field, h: float, scheme: str = "rk4", t: float = 0.0
+    y: np.ndarray, field: Field, h: float, stages: tuple, scheme: str = "rk4", t: float = 0.0
 ) -> np.ndarray:
     """Advance y = [x; xhat], (2N, n), from time ``t`` by one integrator step of ``field``.
 
-    One finiteness test covers the stack. On a non-finite row NumericsError
-    names the first non-finite estimate, else the true states, with the time.
+    ``stages`` are the stepper's buffers (``integrate.stage_buffers``); the
+    result is a fresh array. One finiteness test covers the stack. On a
+    non-finite row NumericsError names the first non-finite estimate, else
+    the true states, with the time.
     """
-    new = step_fn(scheme)(field, y, h)
+    new = step_fn(scheme)(field, y, h, stages)
     if not np.isfinite(new).all():
         n_agents = y.shape[0] // 2
         bad = ~np.isfinite(new[n_agents:]).all(axis=1)

@@ -38,7 +38,8 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
 
     A stack of shape (K, n, n) gives a (K, n) array whose rows are bit for bit
     the eigenvalues of each matrix alone; a 2x2 stack takes one vectorized
-    rotation, a larger one the lockstep of ``_jacobi``.
+    rotation, a larger one the lockstep of ``_jacobi``. A lone 2x2 matrix is
+    a stack of one.
     """
     a = np.array(a, dtype=float)
     if a.ndim == 3 and a.shape[1] == a.shape[2]:
@@ -47,6 +48,8 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
         return np.array(_jacobi(a, [a.shape[1]] * len(a))).reshape(a.shape[:2])
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 2:
+        return _jacobi_2x2(a[None])[0]
     return _jacobi(a[None], [a.shape[0]])[0]
 
 
@@ -141,8 +144,11 @@ def _jacobi_2x2(a: np.ndarray) -> np.ndarray:
         t[theta == 0.0] = 1.0
         c = 1.0 / np.sqrt(t * t + 1.0)
         s = t * c
-        rot = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
-        r = np.matmul(np.matmul(np.swapaxes(rot, 1, 2), r), rot)
+        rot = np.empty(r.shape)
+        rot[:, 0, 0] = rot[:, 1, 1] = c
+        rot[:, 0, 1] = s
+        rot[:, 1, 0] = -s
+        r = np.matmul(np.matmul(rot.transpose(0, 2, 1), r), rot)
         r[:, 0, 1] = 0.0
         r[:, 1, 0] = 0.0
         a[rotate] = r

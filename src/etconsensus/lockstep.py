@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import UsageError
 from .graph import Graph
+from .integrate import stage_buffers
 
 
 class Lockstep(SimpleNamespace):
@@ -25,18 +26,25 @@ class Lockstep(SimpleNamespace):
     neighbourhoods, each in agent order, and ``flat_own`` repeats each row
     k times, so ``xhat[flat_idx] - xhat[flat_own]`` holds every difference
     xhat_j - xhat_i. The buffers ``diffs`` (len(flat_idx), n) for the
-    differences and ``sums`` (R, 1, n) for the sums, in group order, are
+    differences and ``sums`` (R, n) for the sums, in group order, are
     allocated once, with the core. ``blocks`` has one ``(coeffs, d, w)`` entry
     per k: the group's Laplacian entries as (g, 1, k), its (g, k, n) view of
     ``diffs`` and its (g, 1, n) view of ``sums``. ``inv`` maps each row to its
     place in group order.
-    ``theta_rows`` (2R, p) is the parameter of each row of the stacked state
-    [x; xhat]: theta_true for the true states, theta_hat for the estimates.
     ``Q`` is the runs' shared ``TriggerParams.Q`` = P B B' P, the matrix
     behind every trigger quadratic form; ``BtPt`` and ``Bt`` are (B'P)' and
     B'. The trigger coefficients are per row: ``s_coeff``, ``sig_theta`` =
     sigma theta_coeff, ``two_kappa`` = 2 kappa and ``xi``; ``neg_kappa`` =
     -kappa is a column over the followers.
+
+    The step's other buffers, none of which a step hands out: ``y`` takes
+    [x; xhat] and ``stages`` are the integrator's. ``field(y, out)`` writes
+    f(y, theta) (theta_true on the true rows, theta_hat below) plus a drive
+    that is -0.0, which leaves every float as it is, but on the follower
+    plant rows ``drive_rows``, where each step writes B u. ``ewQ`` holds
+    [eQ; wQ], ``prods`` each of them times each of e and w, and ``forms``
+    their row sums, with the views ``eQe``, ``wQe`` and ``wQw`` (e'Qw is
+    formed too and not read).
     """
 
 
@@ -53,7 +61,7 @@ def layout(members: list, coeffs: list, n: int) -> dict:
     order = sorted(range(len(members)), key=lambda r: len(members[r]))
     flat_idx = np.array([j for r in order for j in members[r]], dtype=np.intp)
     diffs = np.empty((len(flat_idx), n))
-    sums = np.empty((len(members), 1, n))
+    sums = np.empty((len(members), n))
     blocks = []
     start = first = 0
     for k in sorted({len(m) for m in members}):
@@ -62,7 +70,7 @@ def layout(members: list, coeffs: list, n: int) -> dict:
         blocks.append((
             np.array([coeffs[r] for r in rows])[:, None, :],
             diffs[start : start + g * k].reshape(g, k, n),
-            sums[first : first + g],
+            sums[first : first + g].reshape(g, 1, n),
         ))
         start += g * k
         first += g
@@ -120,10 +128,19 @@ def lockstep(preps) -> Lockstep:
     params = [p.params for p in preps]
     kappa = np.array([q.kappa for q in params])
     theta = np.stack([np.stack((p.model.theta_true, p.model.theta_hat)) for p in preps])
+    theta_rows = np.concatenate((theta[owner, 0], theta[owner, 1]))
+    f = first.model.f
+    n_rows, n = len(order), first.model.state_dim
+    drive = np.full((2 * n_rows, n), -0.0)
+    ewQ, forms = np.empty((2, n_rows, n)), np.empty((2, 2, n_rows))
+
+    def field(y: np.ndarray, out: np.ndarray) -> None:
+        f(y, theta_rows, out)
+        np.add(out, drive, out)
+
     return Lockstep(
         x0=np.stack([p.x0 for p in preps])[owner, agent],
-        **layout(members, coeffs, first.model.state_dim),
-        theta_rows=np.concatenate((theta[owner, 0], theta[owner, 1])),
+        **layout(members, coeffs, n),
         Q=first.params.Q,
         BtPt=first.params.BtP.T,
         Bt=first.model.B.T,
@@ -132,7 +149,17 @@ def lockstep(preps) -> Lockstep:
         s_coeff=np.stack([q.s_coeff for q in params])[owner, agent],
         sig_theta=np.stack([q.sigma * q.theta_coeff for q in params])[owner, agent],
         xi=np.array([q.xi for q in params])[owner],
-        f=first.model.f,
+        y=np.empty((2 * n_rows, n)),
+        stages=stage_buffers((2 * n_rows, n)),
+        field=field,
+        drive_rows=drive[n_members:n_rows],
+        ewQ=ewQ,
+        ewQ_by=ewQ[:, None],
+        prods=np.empty((2, 2, n_rows, n)),
+        forms=forms,
+        eQe=forms[0, 0],
+        wQe=forms[1, 0],
+        wQw=forms[1, 1],
         h=first.cfg.h,
         integrator=first.cfg.integrator,
         n_steps=first.n_steps,

@@ -102,19 +102,22 @@ def step(world: WorldState, core: Lockstep) -> WorldState:
     return _step(world, core)
 
 
-def _disagreement(xhat: np.ndarray, core: Lockstep) -> np.ndarray:
+def _disagreement(xhat: np.ndarray, core: Lockstep, out: np.ndarray | None = None) -> np.ndarray:
     """w_i = sum_j l_ij (xhat_j - xhat_i) over i's closed neighbourhood, for every i.
 
     One gather forms every difference, then one batched product per
     neighbourhood size runs the same per-row product as one
     ``coeffs_i @ (xhat[members_i] - xhat_i)`` per agent, so the bits agree
     with it; a dense ``L @ xhat`` or one zero-padded stack does not. Both go
-    into the core's buffers, and the final gather copies w out of them.
+    into the core's buffers, and the final gather copies w out of them, into
+    ``out`` when given.
+    Here and in the rest of the step, a ufunc's output buffer is passed
+    positionally: ``out=`` as a keyword costs about twice the call.
     """
-    np.subtract(xhat[core.flat_idx], xhat[core.flat_own], out=core.diffs)
+    np.subtract(xhat.take(core.flat_idx, 0), xhat.take(core.flat_own, 0), core.diffs)
     for coeffs, d, w in core.blocks:
-        np.matmul(coeffs, d, out=w)
-    return core.sums[core.inv, 0]
+        np.matmul(coeffs, d, w)
+    return core.sums.take(core.inv, 0, out)
 
 
 def _evaluate(
@@ -124,18 +127,26 @@ def _evaluate(
 
     ``w`` is the disagreement of ``xhat`` when the caller already has it.
     The quadratic forms use S_i = s_i Q, Theta_i = c_i Q, R_i = 2 kappa Q with
-    Q = P B B' P, so one (R, n) sweep covers every agent.
+    Q = P B B' P, so one (R, n) sweep covers every agent. e and w share one
+    fresh array, so one product and one reduction, into the core's buffers,
+    form e'Qe, w'Qe and w'Qw. They also form e'Qw, which nothing reads: one
+    multiply of four products costs less than two of three.
     """
-    e = x - xhat
+    ew = np.empty((2, *x.shape))
+    e, w_kept = ew
+    np.subtract(x, xhat, e)
     if w is None:
-        w = _disagreement(xhat, core)
-    wQ = w @ core.Q
-    eQ = e @ core.Q
-    add = np.add.reduce
-    delta = core.s_coeff * add(eQ * e, axis=1) + np.abs(core.two_kappa * add(wQ * e, axis=1))
-    threshold = core.sig_theta * add(wQ * w, axis=1)
-    fired = delta - threshold - core.xi > 0.0
-    return TriggerState(e=e, w=w, delta=delta, threshold=threshold, fired=fired)
+        _disagreement(xhat, core, w_kept)
+    else:
+        w_kept[...] = w
+    np.matmul(ew, core.Q, core.ewQ)
+    np.add.reduce(np.multiply(core.ewQ_by, ew, core.prods), 3, None, core.forms)
+    delta = core.s_coeff * core.eQe
+    delta += np.abs(np.multiply(core.two_kappa, core.wQe, core.wQe), core.wQe)
+    threshold = core.sig_theta * core.wQw
+    np.subtract(delta, threshold, core.wQw)
+    fired = np.subtract(core.wQw, core.xi, core.wQw) > 0.0
+    return TriggerState(e=e, w=w_kept, delta=delta, threshold=threshold, fired=fired)
 
 
 def _advance(world: WorldState, core: Lockstep) -> np.ndarray:
@@ -145,22 +156,12 @@ def _advance(world: WorldState, core: Lockstep) -> np.ndarray:
     step. The disagreement form equals the control law up to rounding order
     and vanishes exactly when the estimates agree, so a consensus state
     cannot be perturbed by summation residue. Only follower plant rows get
-    it: adding a zero row elsewhere would turn -0.0 into +0.0.
+    it (``core.drive_rows``).
     """
-    n_rows = len(world.x)
     lead = core.leaders
-    bu = (core.neg_kappa * (world.w[lead:] @ core.BtPt)) @ core.Bt
-    f = core.f
-    theta_rows = core.theta_rows
-
-    def vector_field(y: np.ndarray) -> np.ndarray:
-        out = f(y, theta_rows)
-        out[lead:n_rows] += bu
-        return out
-
-    return propagate_all(
-        np.concatenate((world.x, world.xhat)), vector_field, core.h, core.integrator, world.t
-    )
+    np.matmul(core.neg_kappa * (world.w[lead:] @ core.BtPt), core.Bt, core.drive_rows)
+    np.concatenate((world.x, world.xhat), out=core.y)
+    return propagate_all(core.y, core.field, core.h, core.stages, core.integrator, world.t)
 
 
 def _step(world: WorldState, core: Lockstep) -> WorldState:

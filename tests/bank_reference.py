@@ -21,7 +21,7 @@ from etconsensus.dynamics import SystemModel
 from etconsensus.errors import ConfigError, NumericsError, TopologyError, UsageError
 from etconsensus.estimation import EstimatorBank
 from etconsensus.graph import Graph, Laplacian
-from etconsensus.integrate import step_fn
+from etconsensus.integrate import stage_buffers, step_fn
 from etconsensus.lockstep import lockstep
 from etconsensus.simulator import Prepared, RunRecord, _assemble_record, _banks_synchronized
 
@@ -119,7 +119,8 @@ def make_banks(graph: Graph, x0: np.ndarray, theta_hat) -> list[EstimatorBank]:
 def propagate(bank: EstimatorBank, model: SystemModel, h: float, scheme: str = "rk4") -> EstimatorBank:
     """Advance every estimate in a bank by one step of the pure drift."""
     stepper = step_fn(scheme)
-    new = stepper(lambda y: model.f(y, bank.theta_hat), bank.estimates, h)
+    y = bank.estimates
+    new = stepper(lambda y, out: model.f(y, bank.theta_hat, out), y, h, stage_buffers(y.shape))
     if not np.isfinite(new).all():
         raise NumericsError(f"estimator bank of agent {bank.owner} became non-finite")
     return EstimatorBank(
@@ -132,7 +133,7 @@ def propagate_all(banks: list[EstimatorBank], model: SystemModel, h: float, sche
     stepper = step_fn(scheme)
     theta_hat = banks[0].theta_hat
     flat = np.concatenate([b.estimates for b in banks], axis=0)
-    flat = stepper(lambda y: model.f(y, theta_hat), flat, h)
+    flat = stepper(lambda y, out: model.f(y, theta_hat, out), flat, h, stage_buffers(flat.shape))
     if not np.isfinite(flat).all():
         raise NumericsError("an estimator bank became non-finite")
     out = []
@@ -231,12 +232,11 @@ def bank_step(world: BankWorld, prep: Prepared, layout: BankLayout) -> BankWorld
         w_ctl = layout.coeffs[i] @ (est - est[layout.own_pos[i]])
         bu[i] = model.B @ (-kappa * (prep.params.BtP @ w_ctl))
 
-    def plant_field(y):
-        out = model.f(y, model.theta_true)
+    def plant_field(y, out):
+        model.f(y, model.theta_true, out)
         out[1:] += bu[1:]
-        return out
 
-    x_new = step_fn(cfg.integrator)(plant_field, world.x, cfg.h)
+    x_new = step_fn(cfg.integrator)(plant_field, world.x, cfg.h, stage_buffers(world.x.shape))
     banks_new = propagate_all(world.banks, model, cfg.h, cfg.integrator)
     t_new = world.t + cfg.h
     if not np.isfinite(x_new).all():

@@ -16,6 +16,14 @@ from etconsensus.graph import Graph
 from etconsensus.simulator import run
 
 
+def drift(model, x, theta) -> np.ndarray:
+    """The model's drift at states ``x`` under ``theta``, as a fresh array."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    model.f(x, np.asarray(theta, dtype=float), out)
+    return out
+
+
 def paper_dict(**overrides) -> dict:
     """Canonical five-agent benchmark config as a plain dict."""
     d = preset_config("paper-asym-040")

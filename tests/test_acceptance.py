@@ -23,7 +23,7 @@ from bank_reference import (
     run_reference,
     trigger_matrices,
 )
-from conftest import charpoly_eigs
+from conftest import charpoly_eigs, drift
 from etconsensus import simulator
 from etconsensus.config import config_from_dict, preset_config
 from etconsensus.control import build_trigger_params, practical_consensus_bound
@@ -425,10 +425,10 @@ def test_criterion_8_structural_invariants(run_cache, tmp_path):
         if not np.array_equal(rec.states[k, 0], y):
             failures.append(f"leader trajectory leaves the autonomous solution at step {k}")
             break
-        k1 = model.f(y, model.theta_true)
-        k2 = model.f(y + (h / 2.0) * k1, model.theta_true)
-        k3 = model.f(y + (h / 2.0) * k2, model.theta_true)
-        k4 = model.f(y + h * k3, model.theta_true)
+        k1 = drift(model, y, model.theta_true)
+        k2 = drift(model, y + (h / 2.0) * k1, model.theta_true)
+        k3 = drift(model, y + (h / 2.0) * k2, model.theta_true)
+        k4 = drift(model, y + h * k3, model.theta_true)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     finish(

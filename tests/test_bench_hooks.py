@@ -97,6 +97,24 @@ def test_traced_cli_passes_the_benchmark_checks(preset, command, tmp_path, capsy
         assert _calls(record, "simulator.zeno_guard") == len(run_dirs)
 
 
+@pytest.mark.parametrize("integrator,drifts_per_step", [("rk4", 4), ("euler", 1)])
+def test_traced_layers_count_what_they_name(integrator, drifts_per_step, tmp_path, capsys):
+    """A traced 2 s run: one integrator step and one ``propagate_all`` per step,
+    each step evaluating the drift once per integrator stage."""
+    cfg = {**preset_config("paper-asym-040"), "duration": 2.0, "integrator": integrator}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    rc, record, patches = _traced(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert rc == 0
+    assert patches.unreached == [] and not patches.missing
+    steps = 200
+    assert _calls(record, "simulator.step") == steps
+    assert _calls(record, "integrate.step") == steps
+    assert _calls(record, "estimation.propagate_all") == steps
+    assert _calls(record, "dynamics.drift") == drifts_per_step * steps
+
+
 def test_traced_benchmark_ends_in_a_strict_json_result():
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")

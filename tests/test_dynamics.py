@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import drift
 from etconsensus.dynamics import (
     LIPSCHITZ_SAFETY,
     CmfCertificate,
@@ -27,7 +28,7 @@ def linear_model(F: np.ndarray) -> SystemModel:
         state_dim=n,
         input_dim=n,
         param_dim=1,
-        f=lambda x, th: x @ F.T,
+        f=lambda x, th, out: np.matmul(x, F.T, out=out),
         jacobian_f=lambda x, th: F,
         B=np.eye(n),
         theta_true=[0.0],
@@ -37,32 +38,32 @@ def linear_model(F: np.ndarray) -> SystemModel:
     )
 
 
-def drift(model, x, theta) -> np.ndarray:
+def scalar_drift(model, x, theta) -> np.ndarray:
     """The model's drift at state(s) ``x`` under the scalar parameter ``theta``."""
-    return model.f(np.asarray(x, dtype=float), np.array([theta], dtype=float))
+    return drift(model, x, [theta])
 
 
 class TestDrift:
     def test_pointwise_values(self):
         model = make_model("paper-sys")
-        assert np.allclose(drift(model, [0.0, 0.0], 0.5), [0.5, 0.5], atol=1e-15)
+        assert np.allclose(scalar_drift(model, [0.0, 0.0], 0.5), [0.5, 0.5], atol=1e-15)
         assert np.allclose(
-            drift(model, [0.0, math.pi / 2.0], 0.0), [math.pi / 2.0, 0.0], atol=1e-15
+            scalar_drift(model, [0.0, math.pi / 2.0], 0.0), [math.pi / 2.0, 0.0], atol=1e-15
         )
         th = 0.5
         want = [
             1.0 + th * math.cos(1.0),
             -1.0 + th * math.cos(1.0) + th * th * math.cos(1.0) * math.sin(1.0),
         ]
-        assert np.allclose(drift(model, [1.0, 1.0], th), want, atol=1e-15)
+        assert np.allclose(scalar_drift(model, [1.0, 1.0], th), want, atol=1e-15)
 
     def test_batch_matches_loop(self):
         model = make_model("paper-sys")
         rng = np.random.default_rng(3)
         xs = rng.normal(size=(40, 2))
-        batch = drift(model, xs, 0.37)
+        batch = scalar_drift(model, xs, 0.37)
         for k in range(xs.shape[0]):
-            assert np.array_equal(batch[k], drift(model, xs[k], 0.37))
+            assert np.array_equal(batch[k], scalar_drift(model, xs[k], 0.37))
 
     def test_jacobian_matches_finite_differences(self):
         model = make_model("paper-sys")
@@ -75,7 +76,7 @@ class TestDrift:
             for col in range(2):
                 dx = np.zeros(2)
                 dx[col] = eps
-                num = (model.f(x + dx, th) - model.f(x - dx, th)) / (2.0 * eps)
+                num = (drift(model, x + dx, th) - drift(model, x - dx, th)) / (2.0 * eps)
                 assert np.allclose(J[:, col], num, atol=1e-6)
 
 
@@ -111,11 +112,15 @@ class TestDriftOracle:
 
     @staticmethod
     def assert_same_bits(x, theta):
+        """Into a fresh buffer, and into strided columns of one holding NaN."""
         model = make_model("paper-sys")
+        wide = np.full(x.shape[:-1] + (5,), np.nan)
         with np.errstate(all="ignore"):
-            got, want = model.f(x, theta), reference_paper_f(x, theta)
+            got, want = drift(model, x, theta), reference_paper_f(x, theta)
+            model.f(x, theta, wide[..., 1:5:3])
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        assert wide[..., 1:5:3].tobytes() == want.tobytes()
 
     def test_shared_theta(self):
         rng = np.random.default_rng(11)
@@ -157,7 +162,7 @@ class TestRegistry:
     def test_custom_model_roundtrip(self):
         register_model("linear-test", lambda th, thh: linear_model(-np.eye(2)))
         model = make_model("linear-test")
-        assert np.allclose(drift(model, [1.0, 2.0], 0.0), [-1.0, -2.0])
+        assert np.allclose(scalar_drift(model, [1.0, 2.0], 0.0), [-1.0, -2.0])
 
     def test_b_shape_validated(self):
         with pytest.raises(ModelError):
@@ -166,7 +171,7 @@ class TestRegistry:
                 state_dim=2,
                 input_dim=1,
                 param_dim=1,
-                f=lambda x, th: x,
+                f=lambda x, th, out: np.copyto(out, x),
                 jacobian_f=lambda x, th: np.eye(2),
                 B=np.zeros((3, 1)),
                 theta_true=[0.5],

@@ -11,14 +11,18 @@ import pytest
 from bank_reference import apply_broadcast as bank_broadcast
 from bank_reference import make_banks, propagate
 from bank_reference import propagate_all as propagate_banks
+from conftest import drift
 from etconsensus.dynamics import SystemModel, make_model
 from etconsensus.errors import NumericsError, TopologyError
 from etconsensus.estimation import EstimatorBank, apply_broadcast, propagate_all
 from etconsensus.graph import Graph
+from etconsensus.integrate import stage_buffers
 
 X0 = np.array(
     [[0.95, 0.63], [-0.70, -0.73], [-0.33, -0.54], [-0.25, 0.02], [0.86, 0.01]]
 )
+# The integrator's buffers for a stacked [x; xhat] of the five agents.
+STAGES = stage_buffers((10, 2))
 
 
 def fig_graph():
@@ -30,7 +34,7 @@ def stacked_field(model, n_agents=5):
     theta = np.concatenate(
         (np.tile(model.theta_true, (n_agents, 1)), np.tile(model.theta_hat, (n_agents, 1)))
     )
-    return lambda y: model.f(y, theta)
+    return lambda y, out: model.f(y, theta, out)
 
 
 def zero_model() -> SystemModel:
@@ -39,7 +43,7 @@ def zero_model() -> SystemModel:
         state_dim=2,
         input_dim=1,
         param_dim=1,
-        f=lambda x, th: np.zeros_like(x),
+        f=lambda x, th, out: out.fill(0.0),
         jacobian_f=lambda x, th: np.zeros((2, 2)),
         B=np.array([[0.0], [1.0]]),
         theta_true=[0.0],
@@ -95,7 +99,7 @@ class TestPropagate:
         model = make_model("paper-sys")
         banks = make_banks(fig_graph(), X0, [0.4])
         bank = banks[2]
-        want = bank.estimates + 0.01 * model.f(bank.estimates, model.theta_hat)
+        want = bank.estimates + 0.01 * drift(model, bank.estimates, model.theta_hat)
         new = propagate(bank, model, 0.01, scheme="euler")
         assert np.array_equal(new.estimates, want)
 
@@ -107,10 +111,10 @@ class TestPropagate:
         sub = 1000
         hs = 0.01 / sub
         for _ in range(sub):
-            k1 = model.f(ref, model.theta_hat)
-            k2 = model.f(ref + (hs / 2.0) * k1, model.theta_hat)
-            k3 = model.f(ref + (hs / 2.0) * k2, model.theta_hat)
-            k4 = model.f(ref + hs * k3, model.theta_hat)
+            k1 = drift(model, ref, model.theta_hat)
+            k2 = drift(model, ref + (hs / 2.0) * k1, model.theta_hat)
+            k3 = drift(model, ref + (hs / 2.0) * k2, model.theta_hat)
+            k4 = drift(model, ref + hs * k3, model.theta_hat)
             ref = ref + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.abs(coarse - ref).max() <= 1e-9
 
@@ -122,7 +126,7 @@ class TestPropagate:
         plant = EstimatorBank(owner=0, agents=(0, 1, 2, 3, 4), estimates=X0.copy(),
                               theta_hat=model.theta_true)
         for scheme in ("euler", "rk4"):
-            y = propagate_all(np.concatenate((X0, X0)), stacked_field(model), 0.01, scheme)
+            y = propagate_all(np.concatenate((X0, X0)), stacked_field(model), 0.01, STAGES, scheme)
             for bank in banks:
                 want = propagate(bank, model, 0.01, scheme)
                 assert np.array_equal(y[5:][list(bank.agents)], want.estimates)
@@ -131,8 +135,8 @@ class TestPropagate:
     def test_propagate_all_deterministic(self):
         model = make_model("paper-sys")
         field = stacked_field(model)
-        a = propagate_all(np.concatenate((X0, X0)), field, 0.01, "rk4")
-        b = propagate_all(np.concatenate((X0, X0)), field, 0.01, "rk4")
+        a = propagate_all(np.concatenate((X0, X0)), field, 0.01, STAGES, "rk4")
+        b = propagate_all(np.concatenate((X0, X0)), field, 0.01, STAGES, "rk4")
         assert np.array_equal(a, b)
         banks = make_banks(fig_graph(), X0, [0.4])
         for x, y in zip(propagate_banks(banks, model, 0.01), propagate_banks(banks, model, 0.01)):
@@ -149,18 +153,18 @@ class TestPropagate:
         y = np.concatenate((X0, X0))
         y[7, 1] = np.nan
         with pytest.raises(NumericsError, match="estimator"):
-            propagate_all(y, stacked_field(model), 0.01)
+            propagate_all(y, stacked_field(model), 0.01, STAGES)
         # With every estimate finite, the non-finite true state is named, with its time.
         y = np.concatenate((X0, X0))
         y[2, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericsError, match=r"non-finite true state at t = 0\.260000"):
-                propagate_all(y, stacked_field(model), 0.01, t=0.25)
+                propagate_all(y, stacked_field(model), 0.01, STAGES, t=0.25)
         # When both go non-finite, the estimate is named first.
         y[7, 1] = np.nan
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericsError, match="estimator state of agent 2 "):
-                propagate_all(y, stacked_field(model), 0.01)
+                propagate_all(y, stacked_field(model), 0.01, STAGES)
 
 
 class TestBroadcast:
@@ -193,7 +197,7 @@ class TestBroadcast:
         y = np.concatenate((X0, X0))
         for _ in range(10):
             banks = propagate_banks(banks, model, 0.01, "rk4")
-            y = propagate_all(y, stacked_field(model), 0.01, "rk4")
+            y = propagate_all(y, stacked_field(model), 0.01, STAGES, "rk4")
         for j in range(5):
             holders = [b for b in banks if b.holds(j)]
             for bank in holders:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import drift
 from etconsensus import dynamics
 from etconsensus.dynamics import (
     LIPSCHITZ_SAFETY,
@@ -78,8 +79,8 @@ def lipschitz_ref(model, states, thetas, jacobian):
         th = np.atleast_1d(np.asarray(th, dtype=float))
         for x in states:
             k_raw = max(k_raw, spectral_norm_ref(jacobian(x, th)))
-    drift = model.f(states, model.theta_hat) - model.f(states, model.theta_true)
-    return k_raw, float(np.sqrt((drift * drift).sum(axis=1)).max())
+    mismatch = drift(model, states, model.theta_hat) - drift(model, states, model.theta_true)
+    return k_raw, float(np.sqrt((mismatch * mismatch).sum(axis=1)).max())
 
 
 def same_bits(a, b) -> bool:
@@ -112,7 +113,7 @@ def ramp_model(state_dim: int, jac) -> SystemModel:
         state_dim=state_dim,
         input_dim=state_dim,
         param_dim=1,
-        f=lambda x, th: np.array(x, dtype=float),
+        f=lambda x, th, out: np.copyto(out, x),
         jacobian_f=lambda x, th: jac(np.asarray(x, dtype=float)),
         B=np.eye(state_dim),
         theta_true=[0.0],
@@ -130,7 +131,7 @@ def constant_model(F) -> SystemModel:
         state_dim=n,
         input_dim=n,
         param_dim=1,
-        f=lambda x, th: x @ F.T + th[0],
+        f=lambda x, th, out: np.add(x @ F.T, th[0], out=out),
         jacobian_f=lambda x, th: F,
         B=np.eye(n),
         theta_true=[0.0],

@@ -1,11 +1,12 @@
-"""No module of the package imports a name its body never uses.
+"""No module of the package or of its tests imports a name its body never uses.
 
-Each ``src/etconsensus/*.py`` module but ``__init__`` is parsed with ``ast``.
-Every name a module-level import binds (also inside a module-level ``if``,
-such as ``if TYPE_CHECKING:``) must be read somewhere in the module: as a
-name, as the root of an attribute, or in an annotation. A name that
-``etconsensus/__init__.py`` imports from the module counts as read, since the
-module re-exports it.
+Each ``src/etconsensus/*.py`` module but ``__init__``, and each
+``tests/*.py`` module, is parsed with ``ast``. Every name a module-level
+import binds (also inside a module-level ``if``, such as
+``if TYPE_CHECKING:``) must be read somewhere in the module: as a name, as
+the root of an attribute, or in an annotation. A name that
+``etconsensus/__init__.py`` imports from a package module counts as read,
+since the package re-exports it.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "etconsensus"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> list:
@@ -53,3 +55,11 @@ def test_every_import_is_used(path):
     used = _read_names(tree) | _reexported(path.stem)
     unused = [name for name in _imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.stem)
+def test_every_test_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = _read_names(tree)
+    unused = [name for name in _imported_names(tree) if name not in used]
+    assert unused == [], f"tests/{path.name} imports {unused} and never uses them"

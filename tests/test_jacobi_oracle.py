@@ -18,7 +18,7 @@ import pytest
 from conftest import random_connected_graph
 from etconsensus.errors import NumericsError
 from etconsensus.graph import Graph, spectral_bounds
-from etconsensus.linalg import eigvalsh
+from etconsensus.linalg import _jacobi, eigvalsh
 
 
 def reference_eigvalsh(a) -> np.ndarray:
@@ -180,6 +180,29 @@ def test_special_matrices():
         b = np.array([[1.0, value, 0.5], [value, 3.0, 1.0], [0.5, 1.0, 2.0]])
         assert_same_bits(b)
     assert_same_bits(np.array([[1.0, 2.0], [-3.0, 4.0]]))  # a 2x2 need not be symmetric
+
+
+def test_lone_2x2_matches_the_loop_and_the_general_solver():
+    """A 2-D 2x2 matrix takes the vectorized 2x2 rotation; its bits are the loop's."""
+    rng = np.random.default_rng(53)
+    a = rng.normal(size=(300, 2, 2)) * 10.0 ** rng.integers(-8, 8, size=(300, 1, 1))
+    special = [
+        np.zeros((2, 2)),
+        -np.zeros((2, 2)),
+        np.diag([3.0, -1.0]),
+        [[2.0, 0.5], [0.5, 2.0]],  # equal diagonals: theta == 0
+        [[1.0, 1e-19], [1e-19, 2.0]],  # |b| <= 1e-18 scale: no rotation
+        [[1.0, 1e-16], [1e-16, 1.0]],  # below 1e-15 scale overall
+        [[5e-324, 5e-324], [5e-324, 0.0]],
+        [[1e300, 1e300], [1e300, 1e300]],
+        [[math.inf, 1.0], [1.0, 0.0]],
+        [[1.0, 2.0], [-3.0, 4.0]],  # a 2x2 need not be symmetric
+    ]
+    for m in [*(a + np.swapaxes(a, 1, 2)), *np.array(special)]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = assert_same_bits(m)
+            general = _jacobi(m[None].copy(), [2])[0]
+        assert general.tobytes() == want.tobytes(), (m, general, want)
 
 
 def test_nan_raises():

@@ -8,7 +8,7 @@ import pytest
 
 import bank_reference
 from bank_reference import compute_wi, make_banks, run_reference
-from conftest import paper_cfg, paper_dict, random_connected_graph
+from conftest import drift, paper_cfg, paper_dict, random_connected_graph
 from etconsensus.config import load_preset, prepare_dict
 from etconsensus.dynamics import SystemModel, make_model, register_model
 from etconsensus.errors import ConfigError, NumericsError, UsageError
@@ -16,13 +16,13 @@ from etconsensus.graph import Graph
 from etconsensus.lockstep import lockstep
 from etconsensus.simulator import (
     SimConfig,
-    WorldState,
     _assemble_record,
     _disagreement,
     initial_world,
     load_run_record,
     prepare,
     run,
+    run_batch,
     step,
     write_run_outputs,
     zeno_guard_report,
@@ -35,7 +35,7 @@ def _zero_builder(theta, theta_hat):
         state_dim=2,
         input_dim=2,
         param_dim=1,
-        f=lambda x, th: np.zeros_like(x),
+        f=lambda x, th, out: out.fill(0.0),
         jacobian_f=lambda x, th: np.zeros((2, 2)),
         B=np.eye(2),
         theta_true=[0.0] if theta is None else theta,
@@ -129,12 +129,12 @@ class TestStepSemantics:
             bu[i] = model.B @ u
 
         def plant(y):
-            out = model.f(y, model.theta_true)
+            out = drift(model, y, model.theta_true)
             out[1:] = out[1:] + bu[1:]
             return out
 
         def est(y):
-            return model.f(y, model.theta_hat)
+            return drift(model, y, model.theta_hat)
 
         def one(field, y):
             if integrator == "euler":
@@ -218,10 +218,10 @@ class TestStepSemantics:
         h = cfg.h
         for k in range(rec.n_steps + 1):
             assert np.array_equal(rec.states[k, 0], y)
-            k1 = model.f(y, model.theta_true)
-            k2 = model.f(y + (h / 2.0) * k1, model.theta_true)
-            k3 = model.f(y + (h / 2.0) * k2, model.theta_true)
-            k4 = model.f(y + h * k3, model.theta_true)
+            k1 = drift(model, y, model.theta_true)
+            k2 = drift(model, y + (h / 2.0) * k1, model.theta_true)
+            k3 = drift(model, y + (h / 2.0) * k2, model.theta_true)
+            k4 = drift(model, y + h * k3, model.theta_true)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -430,6 +430,32 @@ class TestDisagreement:
             assert not np.shares_memory(world.w, core.sums)
             moved += not np.array_equal(world.w, kept_w)
         assert moved > prep.n_steps // 2
+
+    def test_kept_worlds_and_records_never_change(self):
+        """The core reuses its stage, drive and trigger buffers on every step, so
+        nothing a step or a run hands out may be one of them: every array of a
+        kept world, of its trigger evaluation and of a ``run_batch`` member's
+        record reads the same after further steps and further runs."""
+
+        def arrays(obj) -> dict:
+            return {k: v.tobytes() for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+
+        preps = [load_preset(name, duration=1.0) for name in ("paper-asym-040", "paper-zeno-040")]
+        core = lockstep(preps[:1])
+        world = initial_world(core)
+        kept = []
+        for _ in range(preps[0].n_steps):
+            world = step(world, core)
+            kept.append((world, arrays(world), arrays(world.trigger)))
+        assert len(kept[0][1]) == 3 and len(kept[0][2]) == 5
+        for world, at_step, trigger_at_step in kept:
+            assert arrays(world) == at_step
+            assert arrays(world.trigger) == trigger_at_step
+        records = run_batch(preps)
+        at_close = [arrays(rec) for rec in records]
+        run_batch(preps)
+        run(preps[0])
+        assert [arrays(rec) for rec in records] == at_close
 
     @pytest.mark.parametrize("preset", ["paper-asym-040", "paper-zeno-040"])
     def test_carried_w_matches_recomputed(self, preset):

@@ -8,7 +8,6 @@ one format(v, ".17g") per value joined in memory; the bytes must not differ.
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from conftest import paper_cfg
