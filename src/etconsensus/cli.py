@@ -80,7 +80,8 @@ def _sweep_points(grid: dict, limit: int | None) -> list:
     """Cartesian product over grid axes; a key "a,b" pairs two fields.
 
     A grid of more than ``limit`` points is refused before any is built, and
-    so is one in which two points share a slug, which names their directory.
+    so is one that sets a field twice, or in which two points share a slug,
+    which names their directory.
     """
     if not isinstance(grid, dict):
         raise ConfigError(
@@ -90,11 +91,18 @@ def _sweep_points(grid: dict, limit: int | None) -> list:
     if not keys:
         raise ConfigError("sweep grid is empty")
     value_lists = []
+    owner = {}  # field -> the grid entry that sets it
     for key in keys:
         values = grid[key]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid entry {key!r} must be a nonempty list")
         subkeys = key.split(",")
+        for sk in subkeys:
+            if sk in owner:
+                raise ConfigError(
+                    f"field {sk!r} is set twice: by grid entry {owner[sk]!r} and by {key!r}"
+                )
+            owner[sk] = key
         if len(subkeys) > 1:
             for v in values:
                 if not isinstance(v, list) or len(v) != len(subkeys):

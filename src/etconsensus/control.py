@@ -60,16 +60,6 @@ class TriggerState:
     threshold: np.ndarray
     fired: np.ndarray
 
-    @classmethod
-    def initial(cls, n_agents: int, state_dim: int) -> "TriggerState":
-        return cls(
-            e=np.zeros((n_agents, state_dim)),
-            w=np.zeros((n_agents, state_dim)),
-            delta=np.zeros(n_agents),
-            threshold=np.zeros(n_agents),
-            fired=np.zeros(n_agents, dtype=bool),
-        )
-
 
 def _vector_param(value, n: int, name: str, low: float, high) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
@@ -226,26 +216,14 @@ def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -
             "the Zeno guard needs the run's |w| series, which a reloaded record lacks"
         )
     bbtp_norm = spectral_norm(params.B @ params.BtP)
-    # |S_i| for every agent in one stacked call; |R_i| = |2 kappa Q| is the same for all.
-    # A degenerate s_i Q fails the stack, and each agent then takes its own norms.
-    try:
-        stacked = (
-            spectral_norm(params.s_coeff[:, None, None] * params.Q).tolist(),
-            spectral_norm(2.0 * params.kappa * params.Q),
-        )
-    except Exception:
-        stacked = None
     gaps = record.min_inter_event
     taus = []
     w_maxes = [float(v) for v in record.w_max]
     for i, w_max in enumerate(w_maxes):
         try:
             nu = error_growth_gain(params.kappa, bbtp_norm, w_max, lipschitz.Delta, lipschitz.k)
-            if stacked is None:
-                s_norm = spectral_norm(params.s_coeff[i] * params.Q)
-                r_norm = spectral_norm(2.0 * params.kappa * params.Q)
-            else:
-                s_norm, r_norm = stacked[0][i], stacked[1]
+            s_norm = spectral_norm(params.s_coeff[i] * params.Q)
+            r_norm = spectral_norm(2.0 * params.kappa * params.Q)
             tau = tau_lower_bound(lipschitz.k, nu, s_norm, r_norm, w_max, params.xi)
         except Exception:
             tau = math.inf

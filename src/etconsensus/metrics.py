@@ -12,7 +12,7 @@ not part of gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,17 +30,7 @@ class MetricReport:
     v_final: float
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "consensus_sum": self.consensus_sum,
-            "comm_count": self.comm_count,
-            "chi": self.chi,
-            "per_agent_event_counts": list(self.per_agent_event_counts),
-            "decay_rate": self.decay_rate,
-            "receiver_weighted_count": self.receiver_weighted_count,
-            "v_initial": self.v_initial,
-            "v_final": self.v_final,
-        }
+        return asdict(self)
 
 
 # Samples per block of a five-agent record when a pass over the states

@@ -213,24 +213,26 @@ class RunSink:
     state has a shorter sum, whose order is known only then: its distances
     are taken again from the kept states or, streamed, read back from the
     states.csv written so far, whose "%.17g" text gives every double back
-    exactly. Kept per agent: the event counts and, when the rows carry the
-    |w| the sink asks for (a streamed sink asks on practical runs only), the
-    Zeno guard's running largest |w| and shortest gap between events.
-    ``lipschitz`` is a practical run's ``LipschitzData``, for the record's
-    ``bounds`` and ``zeno_guard``. A sink that would not fit in memory is
-    refused before its directory is made.
+    exactly. Kept per agent: the event counts and, when the rows carry |w|,
+    the Zeno guard's running largest |w| and shortest gap between events.
+    ``series`` names what the sink takes beside the states and flags: the
+    trigger series in memory, |w| streamed on practical runs, and ``est``
+    when its config dumps estimates. ``lipschitz`` is a practical run's
+    ``LipschitzData``, for the record's ``bounds`` and ``zeno_guard``. A sink
+    that would not fit in memory is refused before its directory is made.
     """
 
     def __init__(self, prep, out_dir=None, lipschitz: LipschitzData | None = None):
         n_agents, dim = prep.x0.shape
         rows = prep.n_steps + 1
         dump = prep.cfg.dump_estimates
+        est = ("est",) if dump else ()
         if out_dir is None:
-            self.series = _TRIGGER_SERIES
-            self.keep = ("states", "flags", *_TRIGGER_SERIES) + (("est",) if dump else ())
+            self.series = _TRIGGER_SERIES + est
+            self.keep = ("states", "flags", *self.series)
             row_bytes = 16 + n_agents * (8 * dim * (2 if dump else 1) + 8 * len(_TRIGGER_SERIES) + 1)
         else:
-            self.series = ("w_norm",) if prep.cfg.ctc == "practical" else ()
+            self.series = (("w_norm",) if prep.cfg.ctc == "practical" else ()) + est
             self.keep = ()
             row_bytes = 16
         check_fits(rows, row_bytes, f"duration/h = {prep.n_steps} steps")
@@ -252,7 +254,7 @@ class RunSink:
         times, states, flags = rows["times"], rows["states"], rows["flags"]
         span = slice(self.n, self.n + len(times))
         if self.csv is not None:
-            self.csv.put(times, states, flags, rows.get("est") if self.prep.cfg.dump_estimates else None)
+            self.csv.put(times, states, flags, rows.get("est"))
         for name in self.keep:
             if name in rows:  # a series that never arrives stays None in the record
                 if name not in self.kept:
@@ -263,7 +265,7 @@ class RunSink:
         self.r_sum.add(metrics_mod.r_norms(states))
         metrics_mod.v_series(states, self.prep.cert.P, out=self.v[span])
         self.counts += flags.sum(axis=0)
-        if "w_norm" in rows and "w_norm" in self.series:
+        if "w_norm" in rows:
             w_max = rows["w_norm"].max(axis=0)
             self.w_max = w_max if self.w_max is None else np.maximum(self.w_max, w_max)
             ks, agents = np.nonzero(flags)

@@ -86,15 +86,11 @@ class WorldState:
 
 
 def initial_world(core: Lockstep) -> WorldState:
-    n_rows, n = core.x0.shape
-    xhat = core.x0.copy()
-    return WorldState(
-        t=0.0,
-        x=core.x0.copy(),
-        xhat=xhat,
-        w=_disagreement(xhat, core),
-        trigger=TriggerState.initial(n_rows, n),
-    )
+    """Every estimate starts at x0, so e = 0 and row 0's own evaluation fires no agent."""
+    x, xhat = core.x0.copy(), core.x0.copy()
+    trigger = _evaluate(x, xhat, core)
+    trigger.fired[:] = False
+    return WorldState(t=0.0, x=x, xhat=xhat, w=trigger.w, trigger=trigger)
 
 
 def step(world: WorldState, core: Lockstep) -> WorldState:
@@ -120,12 +116,9 @@ def _disagreement(xhat: np.ndarray, core: Lockstep, out: np.ndarray | None = Non
     return core.sums.take(core.inv, 0, out)
 
 
-def _evaluate(
-    x: np.ndarray, xhat: np.ndarray, core: Lockstep, w: np.ndarray | None = None
-) -> TriggerState:
+def _evaluate(x: np.ndarray, xhat: np.ndarray, core: Lockstep) -> TriggerState:
     """Both trigger quantities and the firing test, for every agent at once.
 
-    ``w`` is the disagreement of ``xhat`` when the caller already has it.
     The quadratic forms use S_i = s_i Q, Theta_i = c_i Q, R_i = 2 kappa Q with
     Q = P B B' P, so one (R, n) sweep covers every agent. e and w share one
     fresh array, so one product and one reduction, into the core's buffers,
@@ -135,10 +128,7 @@ def _evaluate(
     ew = np.empty((2, *x.shape))
     e, w_kept = ew
     np.subtract(x, xhat, e)
-    if w is None:
-        _disagreement(xhat, core, w_kept)
-    else:
-        w_kept[...] = w
+    _disagreement(xhat, core, w_kept)
     np.matmul(ew, core.Q, core.ewQ)
     np.add.reduce(np.multiply(core.ewQ_by, ew, core.prods), 3, None, core.forms)
     delta = core.s_coeff * core.eQe
@@ -221,9 +211,9 @@ def _assemble_record(
 class _Buffer:
     """The last steps' rows of every member, handed to their sinks a block at a time.
 
-    Each sink gets its member's columns of every buffered series, C-contiguous
-    (``np.take``; a fancy index on the agent axis would come back agent-axis
-    major), with the sample times ``k * h``.
+    Each sink gets its member's columns of ``states``, ``flags`` and every
+    series it names, C-contiguous (``np.take``; a fancy index on the agent
+    axis would come back agent-axis major), with the sample times ``k * h``.
     """
 
     def __init__(self, core: Lockstep, names: tuple, k0: int, sinks: list):
@@ -244,21 +234,22 @@ class _Buffer:
         self.k0 = k0
         self.j = 0
 
-    def keep(self, world: WorldState, tr: TriggerState, fired: bool = True) -> None:
+    def keep(self, world: WorldState) -> None:
         j = self.j
         if j == _STEP_BLOCK:
             self.flush()
             j = 0
+        tr = world.trigger
         self.states[j] = world.x
-        self.flags[j] = tr.fired if fired else False
+        self.flags[j] = tr.fired
         if self.delta is not None:
             self.delta[j] = tr.delta
         if self.threshold is not None:
             self.threshold[j] = tr.threshold
         if self.w_norm is not None:
-            np.sqrt(np.add.reduce(tr.w * tr.w, axis=1), out=self.w_norm[j])
+            np.sqrt(np.add.reduce(tr.w * tr.w, 1), self.w_norm[j])
         if self.e_norm is not None:
-            np.sqrt(np.add.reduce(tr.e * tr.e, axis=1), out=self.e_norm[j])
+            np.sqrt(np.add.reduce(tr.e * tr.e, 1), self.e_norm[j])
         if self.est is not None:
             self.est[j] = world.xhat
         self.j = j + 1
@@ -267,8 +258,8 @@ class _Buffer:
         j = self.j
         times = np.arange(self.k0, self.k0 + j) * self.h
         for sink, rows in self.members:
-            sink.put({"times": times,
-                      **{name: np.take(a[:j], rows, axis=1) for name, a in self.arrays.items()}})
+            sink.put({"times": times, **{name: np.take(self.arrays[name][:j], rows, axis=1)
+                                         for name in ("states", "flags", *sink.series)}})
         self.k0 += j
         self.j = 0
 
@@ -298,8 +289,8 @@ def run_batch(preps, sinks=None) -> list:
     ``lockstep``); edges, x0, parameters and gains may differ. Every member is
     bit for bit its solo ``run``. Each member's rows go to its sink a block
     of steps at a time: ``sink.put(rows)`` gets a dict of its samples
-    (``times``, ``states``, ``flags``, the trigger series any sink names in
-    its ``series``, and ``est`` when any member dumps estimates), and
+    (``times``, ``states``, ``flags`` and every series the sink names in its
+    ``series``: trigger series, and ``est`` for dumped estimates), and
     ``sink.close(runtime, error)`` gives the member's result. Without sinks
     every member is kept in memory by an ``outputs.RunSink``, given its
     Lipschitz data when practical, and comes back as its ``RunRecord``. A
@@ -314,15 +305,12 @@ def run_batch(preps, sinks=None) -> list:
         sinks = [RunSink(p, None, practical_lipschitz(p, known)) for p in preps]
     sinks = list(sinks)
     names = ("states", "flags", *dict.fromkeys(s for k in sinks for s in k.series))
-    if any(p.cfg.dump_estimates for p in preps):
-        names += ("est",)
     results = [None] * len(preps)
     alive = list(range(len(preps)))
     core = lockstep(preps)
     world = initial_world(core)
     buf = _Buffer(core, names, 0, sinks)
-    # Row 0: every estimate starts at x0, so e = 0 and delta = 0; no event.
-    buf.keep(world, _evaluate(world.x, world.xhat, core, world.w), fired=False)
+    buf.keep(world)
     start = time.perf_counter()
     k = 1
     while k <= core.n_steps:
@@ -345,7 +333,7 @@ def run_batch(preps, sinks=None) -> list:
             world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
             buf = _Buffer(core, names, buf.k0, [sinks[b] for b in alive])
             continue
-        buf.keep(world, world.trigger)
+        buf.keep(world)
         k += 1
     buf.flush()
     runtime = time.perf_counter() - start

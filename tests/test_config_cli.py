@@ -265,6 +265,27 @@ class TestConfigFiles:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "grid,field,entries",
+        [
+            ({"sigma": [0.5], "sigma,kappa2": [[0.7, 5.0]]}, "sigma", ("sigma", "sigma,kappa2")),
+            ({"kappa2,xi": [[5.0, 20]], "sigma,xi": [[0.5, 10]]}, "xi", ("kappa2,xi", "sigma,xi")),
+            ({"sigma,sigma": [[0.5, 0.7]]}, "sigma", ("sigma,sigma",)),
+        ],
+    )
+    def test_grid_setting_a_field_twice_exits_2_before_any_runs(
+        self, grid, field, entries, tmp_path, capsys
+    ):
+        """Only the last value would run, under a slug that names both."""
+        specp = write_json(tmp_path / "s.json", {"preset": "paper-asym-040", "grid": grid})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", specp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert repr(field) in err and all(repr(entry) in err for entry in entries)
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_writes_three_files(self, short_run):
         for name in ("states.csv", "events.csv", "summary.json"):

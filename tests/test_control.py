@@ -16,7 +16,6 @@ from bank_reference import (
     trigger_matrices,
 )
 from etconsensus.control import (
-    TriggerState,
     build_trigger_params,
     check_gain_condition,
     error_growth_gain,
@@ -142,10 +141,6 @@ class TestGainMatrices:
         check_gain_condition(0.1, 0.02, lap.mu)
         with pytest.raises(ConfigError, match=r"rho/\(2\*mu\)"):
             check_gain_condition(0.001, 0.02, lap.mu)
-
-    def test_trigger_state_initial(self):
-        st = TriggerState.initial(5, 2)
-        assert not st.fired.any()
 
 
 class TestControlInput:

@@ -161,6 +161,23 @@ def test_streamed_run_matches_the_record(preset, integrator, tmp_path):
         )
 
 
+@pytest.mark.parametrize("dumps", [(True, False), (False, True)])
+def test_batch_mixing_dumped_estimates_streams_solo_files(dumps, tmp_path):
+    """Each sink takes ``est`` only when it names it, so a member that dumps its
+    estimates and one that does not each stream their solo run's bytes."""
+    preps = [prepare_dict(preset_config(name), duration=1.0, dump_estimates=dump)
+             for name, dump in zip(("paper-asym-040", "paper-zeno-040"), dumps)]
+    known = {}
+    run_batch(preps, [RunSink(p, tmp_path / "batch" / str(i), practical_lipschitz(p, known))
+                      for i, p in enumerate(preps)])
+    for i, prep in enumerate(preps):
+        solo = tmp_path / "solo" / str(i)
+        run_batch([prep], [RunSink(prep, solo, practical_lipschitz(prep, known))])
+        for name in ("states.csv", "events.csv"):
+            assert (tmp_path / "batch" / str(i) / name).read_bytes() == (solo / name).read_bytes()
+        assert ("xhat1_1" in (solo / "states.csv").open().readline()) == dumps[i]
+
+
 @pytest.mark.parametrize("preset", ["paper-zeno-040", "paper-asym-040"])
 def test_library_writes_the_summary_the_cli_writes(preset, tmp_path, capsys):
     """One summary writer: ``write_run_outputs(run(prep))`` gives the files of ``etconsensus run``."""

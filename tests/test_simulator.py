@@ -199,6 +199,20 @@ class TestStepSemantics:
             assert np.array_equal(rec.states[k, 0], np.zeros(2))
         assert rec.per_agent_event_counts.tolist() == [0, n_steps]
 
+    @pytest.mark.parametrize("preset", ["paper-asym-040", "paper-zeno-040"])
+    def test_initial_world_trigger_is_row_0(self, preset):
+        """Row 0 is the initial world's own evaluation at t = 0: every estimate
+        starts at x0, so e = 0, and no agent fires."""
+        prep = load_preset(preset, duration=0.05)
+        rec = run(prep)
+        trigger = initial_world(lockstep([prep])).trigger
+        assert not trigger.fired.any() and not rec.event_flags[0].any()
+        assert not trigger.e.any() and trigger.threshold.all()
+        assert np.array_equal(trigger.delta, rec.delta[0])
+        assert np.array_equal(trigger.threshold, rec.threshold[0])
+        assert np.array_equal(np.linalg.norm(trigger.w, axis=1), rec.w_norm[0])
+        assert np.array_equal(np.linalg.norm(trigger.e, axis=1), rec.e_norm[0])
+
     def test_public_step_matches_run(self):
         cfg = paper_cfg(duration=0.05)
         rec = run(cfg)
