@@ -1,6 +1,7 @@
 """Command-line interface: run, sweep, check-cmf, metrics, plotdata.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a run aborts
+Exit codes: 0 on success, 2 for configuration problems (an output path that
+cannot be made or written among them), 3 when a run aborts
 on non-finite numerics (the partial record is still flushed to disk). A sweep
 runs every point; if some fail it exits 3 when any failed on numerics and 2
 otherwise.
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    FIELD_NAMES,
     PRESET_NAMES,
     check_fits,
     load_config,
@@ -80,8 +82,8 @@ def _sweep_points(grid: dict, limit: int | None) -> list:
     """Cartesian product over grid axes; a key "a,b" pairs two fields.
 
     A grid of more than ``limit`` points is refused before any is built, and
-    so is one that sets a field twice, or in which two points share a slug,
-    which names their directory.
+    so is one that names a field ``SimConfig`` lacks or sets a field twice, or
+    in which two points share a slug, which names their directory.
     """
     if not isinstance(grid, dict):
         raise ConfigError(
@@ -98,6 +100,8 @@ def _sweep_points(grid: dict, limit: int | None) -> list:
             raise ConfigError(f"grid entry {key!r} must be a nonempty list")
         subkeys = key.split(",")
         for sk in subkeys:
+            if sk not in FIELD_NAMES:
+                raise ConfigError(f"grid entry {key!r} sets {sk!r}, which is not a config field")
             if sk in owner:
                 raise ConfigError(
                     f"field {sk!r} is set twice: by grid entry {owner[sk]!r} and by {key!r}"
@@ -389,6 +393,11 @@ def main(argv=None) -> int:
         return 3
     except EtcError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -278,6 +278,7 @@ def _preset_dicts() -> dict[str, dict]:
 
 PRESET_NAMES = tuple(sorted(_preset_dicts()))
 
+FIELD_NAMES = frozenset(f.name for f in fields(SimConfig))
 _DEFAULTS = {f.name: f.default for f in fields(SimConfig) if f.default is not MISSING}
 _REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
 
@@ -300,8 +301,7 @@ def prepare_dict(data: dict, **overrides) -> Prepared:
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    known = {f.name for f in fields(SimConfig)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - FIELD_NAMES)
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     missing = sorted(k for k in _REQUIRED if k not in data)

@@ -51,6 +51,7 @@ from .control import (  # the Zeno guard is part of this module's API
     ZenoGuardReport,
     zeno_guard_report,
 )
+from .csvfork import placed
 from .errors import NumericsError
 from .estimation import EstimatorBank, apply_broadcast, propagate_all
 from .lockstep import Lockstep, lockstep
@@ -297,7 +298,9 @@ def run_batch(preps, sinks=None) -> list:
     member that becomes non-finite is closed after its last finite row with
     the error its solo run raises, and leaves the batch; the others carry
     on. Returns the results in member order; ``runtime`` is the batch's loop
-    time up to the member's close.
+    time up to the member's close. The CSV text of streamed sinks may be
+    made by a forked writer process (``csvfork.placed``); every file is
+    complete before a sink closes and when this returns.
     """
     preps = list(preps)
     if sinks is None:
@@ -312,30 +315,32 @@ def run_batch(preps, sinks=None) -> list:
     buf = _Buffer(core, names, 0, sinks)
     buf.keep(world)
     start = time.perf_counter()
-    k = 1
-    while k <= core.n_steps:
-        try:
-            world = _step(world, core)
-        except NumericsError as exc:
-            buf.flush()
-            failed = _failures(exc, world, core, [preps[b] for b in alive])
-            runtime = time.perf_counter() - start
-            for pos, message in failed.items():
-                results[alive[pos]] = sinks[alive[pos]].close(runtime, message)
-            kept = [pos for pos in range(len(alive)) if pos not in failed]
-            if not kept:
-                return results
-            alive = [alive[pos] for pos in kept]
-            old, core = core, lockstep([preps[b] for b in alive])
-            rows = np.empty(len(core.x0), dtype=np.intp)
-            for pos, new_rows in zip(kept, core.member_rows):
-                rows[new_rows] = old.member_rows[pos]
-            world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
-            buf = _Buffer(core, names, buf.k0, [sinks[b] for b in alive])
-            continue
-        buf.keep(world)
-        k += 1
-    buf.flush()
+    with placed(sinks) as writer:
+        k = 1
+        while k <= core.n_steps:
+            try:
+                world = _step(world, core)
+            except NumericsError as exc:
+                buf.flush()
+                writer.sync()  # a cut-short sink reads its states.csv back
+                failed = _failures(exc, world, core, [preps[b] for b in alive])
+                runtime = time.perf_counter() - start
+                for pos, message in failed.items():
+                    results[alive[pos]] = sinks[alive[pos]].close(runtime, message)
+                kept = [pos for pos in range(len(alive)) if pos not in failed]
+                if not kept:
+                    return results
+                alive = [alive[pos] for pos in kept]
+                old, core = core, lockstep([preps[b] for b in alive])
+                rows = np.empty(len(core.x0), dtype=np.intp)
+                for pos, new_rows in zip(kept, core.member_rows):
+                    rows[new_rows] = old.member_rows[pos]
+                world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
+                buf = _Buffer(core, names, buf.k0, [sinks[b] for b in alive])
+                continue
+            buf.keep(world)
+            k += 1
+        buf.flush()
     runtime = time.perf_counter() - start
     for b in alive:
         results[b] = sinks[b].close(runtime)

@@ -286,6 +286,20 @@ class TestConfigFiles:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key,field", [("sigma, kappa2", " kappa2"), ("sigm", "sigm")])
+    def test_grid_naming_an_unknown_field_exits_2_before_any_runs(self, key, field, tmp_path,
+                                                                 capsys):
+        """Each point would fail alone, after the sweep's directory and summary were made."""
+        values = [[0.5, 5.0]] if "," in key else [0.5]
+        specp = write_json(tmp_path / "s.json", {"preset": "paper-asym-040", "grid": {key: values}})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", specp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert repr(key) in err and repr(field) in err
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_writes_three_files(self, short_run):
         for name in ("states.csv", "events.csv", "summary.json"):
@@ -299,6 +313,19 @@ class TestRunCommand:
         assert sum(summary["per_agent_event_counts"]) == len(rows)
         assert summary["error"] is None
         assert summary["sync_mismatches"] == 0
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_that_cannot_be_made_exits_2_naming_it(self, command, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        spec = write_json(tmp_path / "s.json", {"preset": "paper-asym-040",
+                                                "grid": {"sigma": [0.5]}})
+        source = ["--preset", "paper-asym-040"] if command == "run" else ["--config", spec]
+        for out in (blocker, blocker / "sub"):
+            assert main([command, *source, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot write {out}: "), err
+        assert blocker.read_text() == ""
 
     def test_source_flags_are_exclusive(self, tmp_path, capsys):
         out = str(tmp_path / "o")
@@ -353,6 +380,12 @@ class TestRunCommand:
 
 
 class TestCheckCmf:
+    def test_out_in_a_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cmf.json"
+        argv = ["check-cmf", "--preset", "paper-asym-040", "--grid-step", "0.5", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+
     def test_benchmark_certificate_fails_on_grid(self, tmp_path, capsys):
         outp = tmp_path / "cmf.json"
         rc = main(

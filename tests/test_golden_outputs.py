@@ -63,16 +63,19 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("preset,integrator", sorted(GOLDEN))
-def test_run_outputs_match_golden_digests(preset, integrator, tmp_path, capsys):
-    out = tmp_path / "run"
+def digests(preset, integrator, out, capsys) -> tuple:
+    """The digests of a CLI run of one cell into ``out``, in the order of ``GOLDEN``."""
     assert main(["run", "--preset", preset, "--integrator", integrator, "--out", str(out)]) == 0
     capsys.readouterr()
     summary = json.loads((out / "summary.json").read_text())
     del summary["runtime_seconds"]
-    got = (
+    return (
         _sha256((out / "states.csv").read_bytes()),
         _sha256((out / "events.csv").read_bytes()),
         _sha256(json.dumps(summary, sort_keys=True).encode()),
     )
-    assert got == GOLDEN[(preset, integrator)]
+
+
+@pytest.mark.parametrize("preset,integrator", sorted(GOLDEN))
+def test_run_outputs_match_golden_digests(preset, integrator, tmp_path, capsys):
+    assert digests(preset, integrator, tmp_path / "run", capsys) == GOLDEN[(preset, integrator)]
