@@ -216,17 +216,22 @@ def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -
             "the Zeno guard needs the run's |w| series, which a reloaded record lacks"
         )
     bbtp_norm = spectral_norm(params.B @ params.BtP)
+    try:
+        r_norm = spectral_norm(2.0 * params.kappa * params.Q)  # |R_i|, the same for every agent
+    except Exception:
+        r_norm = None  # then no agent has a bound: every tau_i is inf
     gaps = record.min_inter_event
     taus = []
     w_maxes = [float(v) for v in record.w_max]
     for i, w_max in enumerate(w_maxes):
-        try:
-            nu = error_growth_gain(params.kappa, bbtp_norm, w_max, lipschitz.Delta, lipschitz.k)
-            s_norm = spectral_norm(params.s_coeff[i] * params.Q)
-            r_norm = spectral_norm(2.0 * params.kappa * params.Q)
-            tau = tau_lower_bound(lipschitz.k, nu, s_norm, r_norm, w_max, params.xi)
-        except Exception:
-            tau = math.inf
+        tau = math.inf
+        if r_norm is not None:
+            try:
+                nu = error_growth_gain(params.kappa, bbtp_norm, w_max, lipschitz.Delta, lipschitz.k)
+                s_norm = spectral_norm(params.s_coeff[i] * params.Q)
+                tau = tau_lower_bound(lipschitz.k, nu, s_norm, r_norm, w_max, params.xi)
+            except Exception:
+                pass
         taus.append(tau)
     return ZenoGuardReport(
         min_inter_event=tuple(gaps),

@@ -60,48 +60,6 @@ def r_norms(states: np.ndarray) -> np.ndarray:
     return out
 
 
-class PairwiseSum:
-    """numpy's sum of n doubles, taken as they arrive, without holding them.
-
-    ``np.add.reduce`` sums a contiguous run of n doubles pairwise: it halves
-    the run (the first half rounded down to a multiple of 8 values) until
-    the pieces hold at most 128, and numpy sums those leaves itself. This
-    walks the same tree left to right and keeps only the values of the
-    unfinished leaf and one partial sum per level, so ``total`` is the same
-    double as the sum of all n values in one array.
-    """
-
-    def __init__(self, n: int):
-        self.stack: list = []  # per open level: [left sum, None until known; right length]
-        self.pending = np.empty(0)
-        self.need = self._descend(n)
-        self.total = None
-
-    def _descend(self, n: int) -> int:
-        while n > 128:
-            half = n // 2
-            half -= half % 8
-            self.stack.append([None, n - half])
-            n = half
-        return n
-
-    def add(self, values: np.ndarray) -> None:
-        """Take the next values, in order."""
-        buf = np.concatenate((self.pending, values.ravel()))
-        start = 0
-        while self.total is None and len(buf) - start >= self.need:
-            s = np.add.reduce(buf[start : start + self.need])
-            start += self.need
-            while self.stack and self.stack[-1][0] is not None:
-                s = self.stack.pop()[0] + s
-            if self.stack:
-                self.stack[-1][0] = s
-                self.need = self._descend(self.stack[-1][1])
-            else:
-                self.total = s
-        self.pending = buf[start:].copy()
-
-
 def v_series(states: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """V(k) = sum over followers of r_i' P r_i, in blocks like ``r_norms``."""
     n_samples, n_agents, _ = states.shape

@@ -1,8 +1,9 @@
 """Run records and run outputs on disk: states.csv, events.csv and summary.json.
 
 ``RunSink`` is the one sink a run's rows go to, and the one place the facts
-its summary reports are worked out: V, the consensus sum, the event counts
-and the Zeno guard's inputs, each as the rows arrive. ``RunSink(prep,
+its summary reports are worked out: V, the consensus sum (from each
+agent's distance from the leader, summed at close), the event counts and
+the Zeno guard's inputs, each from the rows as they arrive. ``RunSink(prep,
 out_dir)`` streams the CSVs through ``CsvWriter``, a block of rows at a
 time, so the text of a file is never held in memory at once;
 ``RunSink(prep)`` keeps every sample in memory instead. Either way ``close``
@@ -205,16 +206,14 @@ class RunSink:
 
     ``RunSink(prep, out_dir)`` streams the run's CSVs into ``out_dir`` and
     keeps only what the summary needs; ``RunSink(prep)`` keeps every sample
-    in memory as well. Kept whole either way, 16 bytes per sample: the times
-    and V, for the decay fit and its end values. Each agent's distance from
-    the leader is summed as it arrives, in the order of numpy's pairwise sum
-    over the whole (samples, N) array (``metrics.PairwiseSum``), so
-    ``r_norm_sum`` has the bits of that sum. A run cut short by a non-finite
-    state has a shorter sum, whose order is known only then: its distances
-    are taken again from the kept states or, streamed, read back from the
-    states.csv written so far, whose "%.17g" text gives every double back
-    exactly. Kept per agent: the event counts and, when the rows carry |w|,
-    the Zeno guard's running largest |w| and shortest gap between events.
+    in memory as well. Kept whole either way, 8 (N + 2) bytes per sample:
+    the times and V, for the decay fit and its end values, and each agent's
+    distance from the leader, summed at close in one numpy sum over the
+    (samples, N) array, so ``r_norm_sum`` has the bits of that sum whether
+    or not the run was cut short. Kept per agent: the event counts and,
+    when the rows carry |w|, the Zeno guard's running largest |w| and
+    shortest gap between events. A streamed sink's files are complete when
+    the ``run_batch`` that feeds it returns, not before it closes.
     ``series`` names what the sink takes beside the states and flags: the
     trigger series in memory, |w| streamed on practical runs, and ``est``
     when its config dumps estimates. ``lipschitz`` is a practical run's
@@ -227,14 +226,14 @@ class RunSink:
         rows = prep.n_steps + 1
         dump = prep.cfg.dump_estimates
         est = ("est",) if dump else ()
+        row_bytes = 8 * (n_agents + 2)
         if out_dir is None:
             self.series = _TRIGGER_SERIES + est
             self.keep = ("states", "flags", *self.series)
-            row_bytes = 16 + n_agents * (8 * dim * (2 if dump else 1) + 8 * len(_TRIGGER_SERIES) + 1)
+            row_bytes += n_agents * (8 * dim * (2 if dump else 1) + 8 * len(_TRIGGER_SERIES) + 1)
         else:
             self.series = (("w_norm",) if prep.cfg.ctc == "practical" else ()) + est
             self.keep = ()
-            row_bytes = 16
         check_fits(rows, row_bytes, f"duration/h = {prep.n_steps} steps")
         self.prep = prep
         self.lipschitz = lipschitz
@@ -242,7 +241,7 @@ class RunSink:
         self.kept = {}
         self.times = np.empty(rows)
         self.v = np.empty(rows)
-        self.r_sum = metrics_mod.PairwiseSum(rows * n_agents)
+        self.r = np.empty((rows, n_agents))
         self.counts = np.zeros(n_agents, dtype=int)
         self.w_max = None
         self.last = [None] * n_agents
@@ -262,7 +261,7 @@ class RunSink:
                     self.kept[name] = np.empty((len(self.v), *a.shape[1:]), a.dtype)
                 self.kept[name][span] = rows[name]
         self.times[span] = times
-        self.r_sum.add(metrics_mod.r_norms(states))
+        self.r[span] = metrics_mod.r_norms(states)
         metrics_mod.v_series(states, self.prep.cert.P, out=self.v[span])
         self.counts += flags.sum(axis=0)
         if "w_norm" in rows:
@@ -278,18 +277,11 @@ class RunSink:
     def close(self, runtime: float, error: str | None = None) -> RunRecord:
         n, prep = self.n, self.prep
         kept = {name: a[:n] for name, a in self.kept.items()}
-        r_norm_sum = self.r_sum.total
-        if r_norm_sum is None:
-            if self.csv is None:
-                states = kept["states"]
-            else:
-                states = _read_states(self.csv.out / "states.csv", prep)[1]
-            r_norm_sum = metrics_mod.r_norms(states).sum()
         record = RunRecord(
             times=self.times[:n],
             v_series=self.v[:n],
             per_agent_event_counts=self.counts,
-            r_norm_sum=float(r_norm_sum),
+            r_norm_sum=float(self.r[:n].sum()),
             w_max=self.w_max,
             min_inter_event=None if self.w_max is None else tuple(self.gaps),
             states=kept.get("states"),

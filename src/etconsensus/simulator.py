@@ -299,8 +299,9 @@ def run_batch(preps, sinks=None) -> list:
     the error its solo run raises, and leaves the batch; the others carry
     on. Returns the results in member order; ``runtime`` is the batch's loop
     time up to the member's close. The CSV text of streamed sinks may be
-    made by a forked writer process (``csvfork.placed``); every file is
-    complete before a sink closes and when this returns.
+    made by a forked writer process (``csvfork.placed``), so a file may
+    still be written after its sink closes; every file is complete when this
+    returns.
     """
     preps = list(preps)
     if sinks is None:
@@ -315,14 +316,13 @@ def run_batch(preps, sinks=None) -> list:
     buf = _Buffer(core, names, 0, sinks)
     buf.keep(world)
     start = time.perf_counter()
-    with placed(sinks) as writer:
+    with placed(sinks):
         k = 1
         while k <= core.n_steps:
             try:
                 world = _step(world, core)
             except NumericsError as exc:
                 buf.flush()
-                writer.sync()  # a cut-short sink reads its states.csv back
                 failed = _failures(exc, world, core, [preps[b] for b in alive])
                 runtime = time.perf_counter() - start
                 for pos, message in failed.items():

@@ -6,10 +6,12 @@
 CPU affinity) and checks that a child was forked exactly when asked for,
 and that none remains once the test's runs have returned. It also slows
 every block's write, so that a file read before the writer has caught up
-shows.
+shows, and arms a watchdog alarm, so that a run waiting forever on its
+writer fails its test instead of hanging the suite.
 """
 
 import os
+import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from etconsensus import csvfork, outputs
+from etconsensus import csvfork, metrics, outputs
 from etconsensus.cli import main
 from etconsensus.config import prepare_dict, preset_config
 from etconsensus.outputs import RunSink
@@ -25,6 +27,8 @@ from etconsensus.simulator import run, run_batch, write_run_outputs
 from test_golden_outputs import GOLDEN, digests
 
 CSVS = ("states.csv", "events.csv")
+# Seconds a test of the placement fixture may take before its alarm fails it.
+WATCHDOG_S = 120
 
 
 def assert_no_child():
@@ -53,7 +57,17 @@ def placement(request, monkeypatch):
         put(*args)
 
     monkeypatch.setattr(outputs.CsvWriter, "put", slow_put)
-    yield request.param
+
+    def watchdog(signum, frame):
+        raise TimeoutError(f"no result after {WATCHDOG_S} s; is run_batch waiting on its writer?")
+
+    previous = signal.signal(signal.SIGALRM, watchdog)
+    signal.alarm(WATCHDOG_S)
+    try:
+        yield request.param
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert bool(forked) == (request.param == "child")
     assert_no_child()
 
@@ -78,7 +92,7 @@ def test_dumped_estimates(placement, tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_member_going_non_finite(placement, tmp_path):
-    """The cut-short member reads its states.csv back once the child has written it."""
+    """The cut-short member's files and sum equal its kept record's, as do the others'."""
     preps = [prepare_dict(preset_config("paper-asym-040"), duration=1.0, kappa1=k)
              for k in (0.1, 1e300, 0.2)]
     with np.errstate(all="ignore"):
@@ -91,6 +105,7 @@ def test_member_going_non_finite(placement, tmp_path):
         assert_same_files(tmp_path / "streamed" / str(i), tmp_path / "record" / str(i))
         assert member.error == record.error
         assert member.r_norm_sum == record.r_norm_sum
+        assert record.r_norm_sum == metrics.r_norms(record.states).sum()
 
 
 class _FailingSink(RunSink):
@@ -106,6 +121,24 @@ def test_parent_raising_mid_loop(placement, tmp_path):
     prep = prepare_dict(preset_config("paper-asym-040"), duration=3.0)
     with pytest.raises(RuntimeError, match="sink failed"):
         run_batch([prep], [_FailingSink(prep, tmp_path / "out")])
+
+
+@pytest.mark.parametrize("placement", ["child"], indirect=True)
+def test_writer_dying_without_a_report(placement, tmp_path, monkeypatch):
+    """A writer child that exits non-zero without saying why is a RuntimeError, not a hang."""
+    put = outputs.CsvWriter.put
+    blocks = []
+
+    def dying_put(*args):
+        blocks.append(1)
+        if len(blocks) == 2:
+            os._exit(1)
+        put(*args)
+
+    monkeypatch.setattr(outputs.CsvWriter, "put", dying_put)
+    prep = prepare_dict(preset_config("paper-asym-040"), duration=3.0)
+    with pytest.raises(RuntimeError, match="writer process exited"):
+        run_batch([prep], [RunSink(prep, tmp_path / "out")])
 
 
 def test_writer_failing_to_write(placement, tmp_path):

@@ -120,18 +120,6 @@ def test_failing_member_leaves_the_batch():
                 assert np.array_equal(getattr(member, name), getattr(solo, name)), (kappas, name)
 
 
-class TestPairwiseSum:
-    @pytest.mark.parametrize("chunk", [1, 7, 320, 10**6])
-    def test_matches_numpy_sum(self, chunk):
-        rng = np.random.default_rng(chunk)
-        for n in list(range(1, 300)) + [1001 * 5, 8191, 8192, 8193, 3001 * 5, 501 * 80]:
-            values = rng.random(n) * 10.0 ** rng.uniform(-3, 3, n)
-            total = metrics.PairwiseSum(n)
-            for start in range(0, n, chunk):
-                total.add(values[start : start + chunk])
-            assert total.total == values.sum(), n
-
-
 def _run_dir_equal(a: Path, b: Path):
     for name in ("states.csv", "events.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), (a, name)
@@ -152,6 +140,7 @@ def test_streamed_run_matches_the_record(preset, integrator, tmp_path):
     lip = practical_lipschitz(prep, {})
     (streamed,) = run_batch([prep], [RunSink(prep, tmp_path / "streamed", lip)])
     record = run(prep)
+    assert record.r_norm_sum == metrics.r_norms(record.states).sum()
     write_run_outputs(streamed, tmp_path / "streamed")
     write_run_outputs(record, tmp_path / "record")
     _run_dir_equal(tmp_path / "streamed", tmp_path / "record")

@@ -357,6 +357,16 @@ class TestZenoGuard:
         assert report.tau[2] == math.inf
         assert report.tau[:2] + report.tau[3:] == healthy.tau[:2] + healthy.tau[3:]
 
+    def test_failing_r_norm_leaves_every_agent_unbounded(self, run_cache, lipschitz_cache):
+        """|R_i| = |2 kappa Q| is every agent's: when it fails, every tau is inf."""
+        rec = run_cache("paper-zeno-040", duration=5.0)
+        prep = prepare(rec.config)
+        _, lip = lipschitz_cache([0.40])
+        params = dataclasses.replace(prep.params, kappa=math.nan)
+        with np.errstate(all="ignore"):
+            report = zeno_guard_report(rec, params, lip)
+        assert report.tau == (math.inf,) * 5
+
     def test_agents_without_event_pairs_are_vacuous(self, run_cache, lipschitz_cache):
         rec = run_cache("paper-zeno-040", duration=5.0)
         prep = prepare(rec.config)
