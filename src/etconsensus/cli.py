@@ -1,13 +1,13 @@
 """Command-line interface: run, sweep, check-cmf, metrics, plotdata.
 
 Exit codes: 0 on success, 2 for configuration problems (an output path that
-cannot be made or written among them), 3 when a run aborts
-on non-finite numerics (the partial record is still flushed to disk). A sweep
-runs every point; if some fail it exits 3 when any failed on numerics and 2
-otherwise.
+cannot be made or written among them), 3 when a run aborts on non-finite
+numerics (the partial record is still flushed to disk); ``_failure`` gives an
+error's code and message. A failing sweep point fails alone: the sweep runs the others,
+then exits 3 if any point failed on numerics and 2 otherwise.
 
-``run`` and ``sweep`` give each run's sink its Lipschitz data and write its
-summary.json with ``write_run_outputs``, the writer a library caller uses.
+``run`` and each lockstep batch of a sweep go through ``_run_and_write``, which
+writes each summary.json with ``write_run_outputs``, the writer a library caller uses.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .config import (
 )
 from .dynamics import check_cmf, trig_grid
 from .errors import ConfigError, EtcError, NumericsError
-from .lockstep import SHARED_FIELDS
+from .lockstep import batch_key
 from .metrics import compute_metrics, markdown_tables
 from .outputs import RunSink, csv_columns, practical_lipschitz
 from .simulator import load_run_record, run_batch, write_run_outputs
@@ -53,13 +53,32 @@ def _fmt_sig(v) -> str:
     return format(float(v), ".17g")
 
 
+def _failure(exc: Exception) -> tuple:
+    """The exit code and message of an error a command reports: anything else is raised again."""
+    if isinstance(exc, NumericsError):
+        return 3, str(exc)
+    if isinstance(exc, EtcError):
+        return 2, str(exc)
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return 2, f"cannot write {exc.filename}: {exc.strerror}"
+    raise exc
+
+
+def _run_and_write(sinks, outs) -> list:
+    """Step opened streamed sinks as one batch and write each run: [(record, report)]."""
+    results = []
+    for out, streamed in zip(outs, run_batch([sink.prep for sink in sinks], sinks)):
+        report = compute_metrics(streamed)
+        write_run_outputs(streamed, out, report=report)
+        results.append((streamed, report))
+    return results
+
+
 def cmd_run(args) -> int:
     prep = _load_run(args)
     out = Path(args.out)
-    lip = practical_lipschitz(prep, {})
-    (streamed,) = run_batch([prep], [RunSink(prep, out, lip)])
-    report = compute_metrics(streamed)
-    write_run_outputs(streamed, out, report=report)
+    sink = RunSink(prep, out, practical_lipschitz(prep, {}))
+    ((streamed, report),) = _run_and_write([sink], [out])
     if streamed.error is not None:
         print(f"partial record flushed to {out}", file=sys.stderr)
         raise NumericsError(streamed.error)
@@ -145,56 +164,39 @@ def _sweep_batch(items) -> list:
     """Run one chunk of sweep points: [(slug, report, None) or (slug, None, (exit code, message))].
 
     Every point is prepared on its own, so a bad one fails alone; the rest
-    are opened, run in lockstep as one batch and written. ``_sub_batches``
-    gave them equal ``SHARED_FIELDS``, so they share what ``lockstep`` needs.
-    The sinks live only as long as this call, so one chunk's are held at a time.
+    are grouped by ``batch_key``, and each group is opened, run in lockstep
+    as one batch and written before the next one opens.
     """
-    results = []
-    known = {}
-    estimated = []
+    results, groups, known = [], {}, {}
     for slug, config_dict, out_dir in items:
         try:
             prep = prepare_dict(config_dict)
-            estimated.append((slug, Path(out_dir) / slug, prep, practical_lipschitz(prep, known)))
+            point = (slug, Path(out_dir) / slug, prep, practical_lipschitz(prep, known))
         except EtcError as exc:
-            results.append((slug, None, (2, str(exc))))
-    opened = []
-    for slug, out, prep, lip in estimated:
-        try:
-            opened.append((slug, out, RunSink(prep, out, lip)))
-        except EtcError as exc:
-            results.append((slug, None, (2, str(exc))))
-    if not opened:
-        return results
-    slugs, outs, sinks = zip(*opened)
-    for slug, out, streamed in zip(slugs, outs, run_batch([s.prep for s in sinks], sinks)):
-        report = compute_metrics(streamed)
-        write_run_outputs(streamed, out, report=report)
-        if streamed.error is None:
-            results.append((slug, report, None))
+            results.append((slug, None, _failure(exc)))
         else:
-            results.append((slug, None, (3, streamed.error)))
+            groups.setdefault(batch_key(prep), []).append(point)
+    for group in groups.values():
+        results += _sweep_group(group)
     return results
 
 
-def _sub_batches(items: list, jobs: int) -> list:
-    """Split the points into up to ``jobs`` chunks per lockstep batch.
-
-    Points are grouped by their raw ``SHARED_FIELDS`` values, before any is
-    validated. Equal raw values prepare into equal lockstep fields, so a
-    chunk's points that prepare always step as one batch (an int P and its
-    float twin merely land apart). The chunks go to the worker pool, or run
-    one after another at ``--jobs 1``, so only one chunk's points are held at a time.
-    """
-    groups: dict = {}
-    for item in items:
-        key = json.dumps([item[1].get(f) for f in SHARED_FIELDS], sort_keys=True, default=repr)
-        groups.setdefault(key, []).append(item)
-    chunks = []
-    for group in groups.values():
-        size = -(-len(group) // jobs)
-        chunks += [group[i : i + size] for i in range(0, len(group), size)]
-    return chunks
+def _sweep_group(group) -> list:
+    """Open, run and write one batch of prepared points; its sinks are freed when this returns."""
+    results, opened = [], []
+    for slug, out, prep, lip in group:
+        try:
+            opened.append((slug, out, RunSink(prep, out, lip)))
+        except (EtcError, OSError) as exc:
+            results.append((slug, None, _failure(exc)))
+    if opened:
+        slugs, outs, sinks = zip(*opened)
+        for slug, (record, report) in zip(slugs, _run_and_write(sinks, outs)):
+            if record.error is None:
+                results.append((slug, report, None))
+            else:
+                results.append((slug, None, (3, record.error)))
+    return results
 
 
 def cmd_sweep(args) -> int:
@@ -220,13 +222,10 @@ def cmd_sweep(args) -> int:
     points = _sweep_points(spec["grid"], None if args.force else _SWEEP_LIMIT)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    items = []
-    for slug, overrides in points:
-        merged = dict(base)
-        merged.update(overrides)
-        items.append((slug, merged, str(out)))
+    items = [(slug, {**base, **overrides}, str(out)) for slug, overrides in points]
 
-    chunks = _sub_batches(items, args.jobs)
+    size = -(-len(items) // args.jobs)  # up to --jobs chunks, in grid order
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
         # A fork-started pool forks all its workers at the first submit.
@@ -388,17 +387,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericsError as exc:
-        print(f"numerics error: {exc}", file=sys.stderr)
-        return 3
-    except EtcError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        if exc.filename is None:
-            raise
-        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
+    except (EtcError, OSError) as exc:
+        code, message = _failure(exc)
+        print(f"{'numerics' if code == 3 else 'config'} error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CertificateError, ConfigError, DegenerateError, UsageError
+from .errors import CertificateError, ConfigError, DegenerateError, EtcError, UsageError
 from .graph import Laplacian
 from .linalg import eigvalsh, spectral_norm
 
@@ -204,7 +204,8 @@ def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -
 
     Agents with fewer than two events are vacuously satisfied. tau_i uses the
     run-measured w_max and the grid-estimated k and Delta, so a record
-    without its |w| series (one reloaded from files) is refused.
+    without its |w| series (one reloaded from files) is refused. An agent
+    whose bound fails with a package error gets tau_i = inf; other errors propagate.
     """
     if record.config is None or record.config.ctc != "practical":
         raise UsageError(
@@ -218,7 +219,7 @@ def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -
     bbtp_norm = spectral_norm(params.B @ params.BtP)
     try:
         r_norm = spectral_norm(2.0 * params.kappa * params.Q)  # |R_i|, the same for every agent
-    except Exception:
+    except EtcError:
         r_norm = None  # then no agent has a bound: every tau_i is inf
     gaps = record.min_inter_event
     taus = []
@@ -230,7 +231,7 @@ def zeno_guard_report(record, params: TriggerParams, lipschitz: LipschitzData) -
                 nu = error_growth_gain(params.kappa, bbtp_norm, w_max, lipschitz.Delta, lipschitz.k)
                 s_norm = spectral_norm(params.s_coeff[i] * params.Q)
                 tau = tau_lower_bound(lipschitz.k, nu, s_norm, r_norm, w_max, params.xi)
-            except Exception:
+            except EtcError:
                 pass
         taus.append(tau)
     return ZenoGuardReport(

@@ -86,17 +86,21 @@ def layout(members: list, coeffs: list, n: int) -> dict:
     )
 
 
-# What the members of one lockstep batch must share: the config field behind
-# each, the name given on a mismatch and the prepared run's value.
+# What the members of one lockstep batch must share: the name given on a
+# mismatch and the prepared run's value.
 _SHARED = (
-    ("model", "model", lambda p: p.cfg.model),
-    ("integrator", "integrator", lambda p: p.cfg.integrator),
-    ("h", "h", lambda p: p.cfg.h),
-    ("duration", "duration/h", lambda p: p.n_steps),
-    ("n_agents", "n_agents", lambda p: p.graph.n_agents),
-    ("P", "P", lambda p: p.cert.P.tobytes()),
+    ("model", lambda p: p.cfg.model),
+    ("integrator", lambda p: p.cfg.integrator),
+    ("h", lambda p: p.cfg.h),
+    ("duration/h", lambda p: p.n_steps),
+    ("n_agents", lambda p: p.graph.n_agents),
+    ("P", lambda p: p.cert.P.tobytes()),
 )
-SHARED_FIELDS = tuple(field for field, _, _ in _SHARED)
+
+
+def batch_key(prep) -> tuple:
+    """A prepared run's values that ``lockstep`` needs its members to share, as a tuple."""
+    return tuple(get(prep) for _, get in _SHARED)
 
 
 def lockstep(preps) -> Lockstep:
@@ -111,7 +115,7 @@ def lockstep(preps) -> Lockstep:
     """
     preps = list(preps)
     first = preps[0]
-    for _, name, get in _SHARED:
+    for name, get in _SHARED:
         if any(get(p) != get(first) for p in preps):
             raise UsageError(f"runs stepped in lockstep must share {name}")
     n_members, n_agents = len(preps), first.graph.n_agents

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import etconsensus
-from etconsensus.cli import _sub_batches, main
+from etconsensus import cli
+from etconsensus.cli import main
 from etconsensus.config import (
     _KINDS,
     PRESET_NAMES,
@@ -20,11 +21,9 @@ from etconsensus.config import (
     config_from_dict,
     load_config,
     load_preset,
-    prepare_dict,
     preset_config,
 )
 from etconsensus.errors import ConfigError
-from etconsensus.lockstep import lockstep
 
 
 # One value per field kind that a field of that kind refuses.
@@ -628,16 +627,22 @@ class TestSweep:
         assert asked == [4]  # one chunk per point of the 4-point grid
         assert json.loads((out / "sweep_summary.json").read_text())["n_points"] == 4
 
-    def test_every_chunk_steps_in_one_lockstep(self, tmp_path):
-        """Points of one ``_sub_batches`` chunk prepare into one lockstep batch.
+    def test_every_chunk_steps_in_one_lockstep(self, tmp_path, monkeypatch):
+        """Points that prepare equal share one ``run_batch``, however their values are written.
 
-        The points differ in integrator, duration, h (given, or left to its
-        default) and P (as ints or as floats); a chunk is run as one
-        ``lockstep`` batch, which raises UsageError on a mismatch.
+        The 72 points differ in integrator, duration, h (left to its default,
+        given as 0.01, or 0.02), P (as ints or as floats) and theta_hat. The
+        default h is 0.01, so at ``--jobs 1`` they step as one batch per
+        (integrator, duration, h): 8 batches.
         """
-        base = preset_config("paper-asym-040")
-        del base["h"]
-        items = []
+        batches = []
+        original = cli.run_batch
+
+        def recording(preps, sinks=None):
+            batches.append([(p.cfg.integrator, p.cfg.duration, p.cfg.h) for p in preps])
+            return original(preps, sinks)
+
+        points = []
         for integrator, duration, h, P, theta_hat in itertools.product(
             ("euler", "rk4"),
             (0.1, 0.2),
@@ -645,18 +650,56 @@ class TestSweep:
             ([[5, 2], [2, 1]], [[5.0, 2.0], [2.0, 1.0]]),
             ([0.4], [0.35], [0.45]),
         ):
-            point = {**base, "integrator": integrator, "duration": duration, "P": P,
-                     "theta_hat": theta_hat}
+            point = {"integrator": integrator, "duration": duration, "P": P, "theta_hat": theta_hat}
             if h is not None:
                 point["h"] = h
-            items.append((str(len(items)), point, str(tmp_path)))
-        for jobs in (1, 2):
-            chunks = _sub_batches(items, jobs)
-            assert sorted(item[0] for chunk in chunks for item in chunk) == sorted(
-                item[0] for item in items
-            )
-            for chunk in chunks:
-                lockstep([prepare_dict(config) for _, config, _ in chunk])
+            points.append((str(len(points)), point))
+        # A grid sets every point's h; these points may also leave it out.
+        monkeypatch.setattr(cli, "_sweep_points", lambda grid, limit: points)
+        monkeypatch.setattr(cli, "run_batch", recording)
+        base = preset_config("paper-asym-040")
+        del base["h"]
+        specp = write_json(tmp_path / "s.json", {"base": base, "grid": {"duration": [0.1]}})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", specp, "--out", str(out), "--jobs", "1"]) == 0
+        assert len(json.loads((out / "sweep_summary.json").read_text())["points"]) == 72
+        assert sorted(len(batch) for batch in batches) == [6] * 4 + [12] * 4
+        assert all(len(set(batch)) == 1 for batch in batches)
+        assert len({batch[0] for batch in batches}) == 8
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unmakeable_directory_fails_its_point_alone(self, jobs, tmp_path, capsys):
+        """A slug too long for a file name fails its point alone: the others run and are written.
+
+        One x0 and one sigma are written with 15 significant digits, so only
+        the last point, which has both, gets a slug of more than 255 bytes; at
+        ``--jobs 2`` it shares a chunk with the third.
+        """
+
+        def long(v):
+            return float(f"{v:.2f}{'0' * 12}1")
+
+        base = {**preset_config("paper-asym-040"), "duration": 0.1}
+        x0s = [base["x0"], [[long(v) for v in row] for row in base["x0"]]]
+        sigmas = [base["sigma"], [long(v) for v in base["sigma"]]]
+        specp = write_json(tmp_path / "s.json", {"base": base, "grid": {"sigma": sigmas, "x0": x0s}})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", specp, "--out", str(out), "--jobs", jobs]) == 2
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert (out / "tables.md").exists()
+        (bad,) = summary["failed"]
+        assert len(bad.encode()) > 255
+        assert "File name too long" in summary["failed"][bad]
+        assert bad in capsys.readouterr().err
+        assert len(summary["points"]) == 3
+        for n, (slug, overrides) in enumerate(cli._sweep_points(summary["grid"], None)):
+            if slug == bad:
+                continue
+            cfgp = write_json(tmp_path / f"c{n}.json", {**base, **overrides})
+            solo = tmp_path / f"solo{n}"
+            assert main(["run", "--config", cfgp, "--out", str(solo)]) == 0
+            for name in ("states.csv", "events.csv"):
+                assert (out / slug / name).read_bytes() == (solo / name).read_bytes()
 
     def test_parallel_jobs_byte_identical(self, tmp_path):
         specp = sweep_spec_file(tmp_path)

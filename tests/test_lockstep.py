@@ -22,6 +22,7 @@ from etconsensus import metrics
 from etconsensus.cli import main
 from etconsensus.config import load_preset, prepare_dict, preset_config
 from etconsensus.errors import NumericsError, UsageError
+from etconsensus.lockstep import batch_key
 from etconsensus.outputs import RunSink, practical_lipschitz
 from etconsensus.simulator import run, run_batch, write_run_outputs, zeno_guard_report
 
@@ -92,6 +93,15 @@ class TestMembersEqualSoloRuns:
         b = prepare_dict(preset_config("paper-asym-040"), duration=2.0)
         with pytest.raises(UsageError, match="duration/h"):
             run_batch([a, b])
+
+    def test_batch_key_compares_prepared_values(self):
+        """An int P and its float twin, or a default h and the same h given, share a key."""
+        base = preset_config("paper-asym-040")
+        given = prepare_dict(base, duration=1.0)
+        default_h = {k: v for k, v in base.items() if k != "h"}
+        written_apart = prepare_dict(default_h, duration=1.0, P=[[5, 2], [2, 1]])
+        assert batch_key(written_apart) == batch_key(given)
+        assert batch_key(prepare_dict(base, duration=2.0)) != batch_key(given)
 
 
 def test_failing_member_leaves_the_batch():

@@ -9,6 +9,7 @@ import pytest
 import bank_reference
 from bank_reference import compute_wi, make_banks, run_reference
 from conftest import drift, paper_cfg, paper_dict, random_connected_graph
+from etconsensus import control
 from etconsensus.config import load_preset, prepare_dict
 from etconsensus.dynamics import SystemModel, make_model, register_model
 from etconsensus.errors import ConfigError, NumericsError, UsageError
@@ -366,6 +367,20 @@ class TestZenoGuard:
         with np.errstate(all="ignore"):
             report = zeno_guard_report(rec, params, lip)
         assert report.tau == (math.inf,) * 5
+
+    def test_programming_error_in_the_bound_propagates(self, run_cache, lipschitz_cache,
+                                                       monkeypatch):
+        """Only package errors make tau inf; a TypeError is a fault, not a Zeno verdict."""
+        rec = run_cache("paper-zeno-040", duration=5.0)
+        prep = prepare(rec.config)
+        _, lip = lipschitz_cache([0.40])
+
+        def broken(*args):
+            raise TypeError("broken bound")
+
+        monkeypatch.setattr(control, "error_growth_gain", broken)
+        with pytest.raises(TypeError, match="broken bound"):
+            zeno_guard_report(rec, prep.params, lip)
 
     def test_agents_without_event_pairs_are_vacuous(self, run_cache, lipschitz_cache):
         rec = run_cache("paper-zeno-040", duration=5.0)
