@@ -165,7 +165,8 @@ def _sweep_batch(items) -> list:
 
     Every point is prepared on its own, so a bad one fails alone; the rest
     are grouped by ``batch_key``, and each group is opened, run in lockstep
-    as one batch and written before the next one opens.
+    as one batch and written before the next one opens. Every prepared run
+    is held until the chunk's last group is written.
     """
     results, groups, known = [], {}, {}
     for slug, config_dict, out_dir in items:
@@ -224,12 +225,12 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     items = [(slug, {**base, **overrides}, str(out)) for slug, overrides in points]
 
-    size = -(-len(items) // args.jobs)  # up to --jobs chunks, in grid order
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    # Dealt round-robin, so each chunk gets its share of every batch.
+    chunks = [items[i :: args.jobs] for i in range(min(args.jobs, len(items)))]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
         # A fork-started pool forks all its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(chunks))) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = [r for rs in pool.map(_sweep_batch, chunks) for r in rs]
     else:
         results = [r for chunk in chunks for r in _sweep_batch(chunk)]

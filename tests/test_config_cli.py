@@ -601,13 +601,14 @@ class TestSweep:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_pool_forks_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
-        """A fork-started pool forks all ``max_workers`` at the first submit, so cap it."""
+    @staticmethod
+    def serial_pool(monkeypatch) -> list:
+        """Run the pool's chunks in this process, one after another; returns the pool sizes asked."""
         import concurrent.futures
 
         asked = []
 
-        class SerialPool:  # records the pool size and starts no process
+        class SerialPool:
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
@@ -621,11 +622,40 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return asked
+
+    def test_pool_forks_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        """A fork-started pool forks all ``max_workers`` at the first submit, so cap it."""
+        asked = self.serial_pool(monkeypatch)
         out = tmp_path / "sw"
         argv = ["sweep", "--config", sweep_spec_file(tmp_path), "--out", str(out), "--jobs", "5000"]
         assert main(argv) == 0
         assert asked == [4]  # one chunk per point of the 4-point grid
         assert json.loads((out / "sweep_summary.json").read_text())["n_points"] == 4
+
+    def test_chunks_are_dealt_round_robin(self, tmp_path, monkeypatch):
+        """At ``--jobs 2`` each chunk gets a share of both integrators' batches.
+
+        The grid's outer axis is the integrator, so halving it in grid order
+        would give one worker every euler point and the other every rk4 point.
+        """
+        self.serial_pool(monkeypatch)
+        batches = []
+        original = cli.run_batch
+
+        def recording(preps, sinks=None):
+            batches.append([(p.cfg.integrator, p.cfg.sigma) for p in preps])
+            return original(preps, sinks)
+
+        monkeypatch.setattr(cli, "run_batch", recording)
+        base = {**preset_config("paper-asym-040"), "duration": 0.1}
+        grid = {"integrator": ["euler", "rk4"], "sigma": [0.5, 0.7, 0.9]}
+        specp = write_json(tmp_path / "s.json", {"base": base, "grid": grid})
+        assert main(["sweep", "--config", specp, "--out", str(tmp_path / "sw"), "--jobs", "2"]) == 0
+        assert batches == [
+            [("euler", 0.5), ("euler", 0.9)], [("rk4", 0.7)],
+            [("euler", 0.7)], [("rk4", 0.5), ("rk4", 0.9)],
+        ]
 
     def test_every_chunk_steps_in_one_lockstep(self, tmp_path, monkeypatch):
         """Points that prepare equal share one ``run_batch``, however their values are written.
@@ -673,7 +703,7 @@ class TestSweep:
 
         One x0 and one sigma are written with 15 significant digits, so only
         the last point, which has both, gets a slug of more than 255 bytes; at
-        ``--jobs 2`` it shares a chunk with the third.
+        ``--jobs 2`` it shares a chunk with the second.
         """
 
         def long(v):
