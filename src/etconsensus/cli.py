@@ -3,11 +3,11 @@
 Exit codes: 0 on success, 2 for configuration problems (an output path that
 cannot be made or written among them), 3 when a run aborts on non-finite
 numerics (the partial record is still flushed to disk); ``_failure`` gives an
-error's code and message. A failing sweep point fails alone: the sweep runs the others,
-then exits 3 if any point failed on numerics and 2 otherwise.
+error's code and message. A failing sweep point, or lockstep batch whose run raises,
+fails alone: the sweep runs the others, then exits 3 if any failed on numerics, else 2.
 
-``run`` and each lockstep batch of a sweep go through ``_run_and_write``, which
-writes each summary.json with ``write_run_outputs``, the writer a library caller uses.
+``run`` and each point of a sweep write their summary.json with ``write_run_outputs``,
+the writer a library caller uses.
 """
 
 from __future__ import annotations
@@ -64,21 +64,12 @@ def _failure(exc: Exception) -> tuple:
     raise exc
 
 
-def _run_and_write(sinks, outs) -> list:
-    """Step opened streamed sinks as one batch and write each run: [(record, report)]."""
-    results = []
-    for out, streamed in zip(outs, run_batch([sink.prep for sink in sinks], sinks)):
-        report = compute_metrics(streamed)
-        write_run_outputs(streamed, out, report=report)
-        results.append((streamed, report))
-    return results
-
-
 def cmd_run(args) -> int:
     prep = _load_run(args)
     out = Path(args.out)
-    sink = RunSink(prep, out, practical_lipschitz(prep, {}))
-    ((streamed, report),) = _run_and_write([sink], [out])
+    (streamed,) = run_batch([prep], [RunSink(prep, out, practical_lipschitz(prep, {}))])
+    report = compute_metrics(streamed)
+    write_run_outputs(streamed, out, report=report)
     if streamed.error is not None:
         print(f"partial record flushed to {out}", file=sys.stderr)
         raise NumericsError(streamed.error)
@@ -183,20 +174,31 @@ def _sweep_batch(items) -> list:
 
 
 def _sweep_group(group) -> list:
-    """Open, run and write one batch of prepared points; its sinks are freed when this returns."""
+    """Open, run and write one batch of prepared points; its sinks are freed when this returns.
+
+    A point whose sink or summary cannot be written fails alone; a run that raises fails them all.
+    """
     results, opened = [], []
     for slug, out, prep, lip in group:
         try:
             opened.append((slug, out, RunSink(prep, out, lip)))
         except (EtcError, OSError) as exc:
             results.append((slug, None, _failure(exc)))
-    if opened:
-        slugs, outs, sinks = zip(*opened)
-        for slug, (record, report) in zip(slugs, _run_and_write(sinks, outs)):
-            if record.error is None:
-                results.append((slug, report, None))
-            else:
-                results.append((slug, None, (3, record.error)))
+    if not opened:
+        return results
+    slugs, outs, sinks = zip(*opened)
+    try:
+        records = run_batch([sink.prep for sink in sinks], sinks)
+    except (EtcError, OSError) as exc:
+        return results + [(slug, None, _failure(exc)) for slug in slugs]
+    for slug, out, record in zip(slugs, outs, records):
+        try:
+            report = compute_metrics(record)
+            write_run_outputs(record, out, report=report)
+            failure = None if record.error is None else (3, record.error)
+        except (EtcError, OSError) as exc:
+            report, failure = None, _failure(exc)
+        results.append((slug, None if failure else report, failure))
     return results
 
 
@@ -321,14 +323,14 @@ def cmd_plotdata(args) -> int:
     lines = [",".join(csv_columns(n_agents, n, False))]
     for k in idx:
         lines.append(
-            ",".join([_fmt_sig(record.times[k])] + [_fmt_sig(v) for v in record.states[k].ravel()])
+            ",".join([_fmt_sig(k * record.h)] + [_fmt_sig(v) for v in record.states[k].ravel()])
         )
     (out / "plot_states.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["t,v,dist2"]
     for k in idx:
         lines.append(
-            f"{_fmt_sig(record.times[k])},{_fmt_sig(record.v_series[k])},{_fmt_sig(record.dist_series[k])}"
+            f"{_fmt_sig(k * record.h)},{_fmt_sig(record.v_series[k])},{_fmt_sig(record.dist_series[k])}"
         )
     (out / "plot_v.csv").write_text("\n".join(lines) + "\n")
 

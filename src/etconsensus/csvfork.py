@@ -73,8 +73,8 @@ class _Child:
 class _Piped:
     """A sink's writer as the parent sees it while the child writes: ``put`` sends the arrays."""
 
-    def __init__(self, child: _Child, index: int, out):
-        self.child, self.index, self.out = child, index, out
+    def __init__(self, child: _Child, index: int):
+        self.child, self.index = child, index
 
     def put(self, times, states, flags, est=None) -> None:
         pickle.dump((self.index, times, states, flags, est), self.child.pipe)
@@ -136,8 +136,8 @@ def placed(sinks):
     if child is None:
         yield
         return
-    for index, (sink, writer) in enumerate(zip(streamed, writers)):
-        sink.csv = _Piped(child, index, writer.out)
+    for index, sink in enumerate(streamed):
+        sink.csv = _Piped(child, index)
     raising = True
     try:
         yield

@@ -28,12 +28,14 @@ class NumericsError(EtcError):
 
     When raised from inside a simulation run, ``partial_record`` holds the
     truncated run record covering every completed step, so callers can flush
-    diagnostics before aborting.
+    diagnostics before aborting. When raised by a step, ``stack`` holds the
+    stepped [x; xhat] rows that went non-finite.
     """
 
-    def __init__(self, message: str, partial_record=None):
+    def __init__(self, message: str, partial_record=None, stack=None):
         super().__init__(message)
         self.partial_record = partial_record
+        self.stack = stack
 
 
 class UsageError(EtcError):

@@ -68,23 +68,31 @@ def propagate_all(
 
     ``stages`` are the stepper's buffers (``integrate.stage_buffers``); the
     result is a fresh array. One finiteness test covers the stack. On a
-    non-finite row NumericsError names the first non-finite estimate, else
-    the true states, with the time.
+    non-finite row NumericsError carries ``nonfinite``'s message of the whole
+    stack, and the stepped stack as ``stack``.
     """
     new = step_fn(scheme)(field, y, h, stages)
     if not np.isfinite(new).all():
-        n_agents = y.shape[0] // 2
-        bad = ~np.isfinite(new[n_agents:]).all(axis=1)
-        if bad.any():
-            j = int(bad.argmax())
-            raise NumericsError(
-                f"estimator state of agent {j} became non-finite at t = {t + h:.6f}:"
-                f" xhat = {new[n_agents + j].tolist()}"
-            )
-        raise NumericsError(
-            f"non-finite true state at t = {t + h:.6f}: x = {new[:n_agents].tolist()}"
-        )
+        raise NumericsError(nonfinite(new, slice(None), t + h), stack=new)
     return new
+
+
+def nonfinite(stack: np.ndarray, rows, t: float) -> str | None:
+    """The error of ``rows`` of a stepped [x; xhat] stack at time ``t``; None if they are finite.
+
+    It names the first non-finite estimate among the rows, by its index
+    within them, else their true states.
+    """
+    n_rows = len(stack) // 2
+    x, xhat = stack[:n_rows][rows], stack[n_rows:][rows]
+    bad = ~np.isfinite(xhat).all(axis=1)
+    if bad.any():
+        j = int(bad.argmax())
+        return (f"estimator state of agent {j} became non-finite at t = {t:.6f}:"
+                f" xhat = {xhat[j].tolist()}")
+    if not np.isfinite(x).all():
+        return f"non-finite true state at t = {t:.6f}: x = {x.tolist()}"
+    return None
 
 
 def apply_broadcast(xhat: np.ndarray, sender: int, state: np.ndarray) -> None:

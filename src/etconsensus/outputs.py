@@ -83,7 +83,7 @@ _TRIGGER_SERIES = ("delta", "threshold", "w_norm", "e_norm")
 class RunRecord:
     """One run: the facts its ``RunSink`` worked out, and its samples if kept.
 
-    Always present: ``times``, ``v_series``, ``per_agent_event_counts``,
+    Always present: ``h``, ``v_series``, ``per_agent_event_counts``,
     ``r_norm_sum`` (every agent's distance from the leader, summed over
     agents and samples) and, when the run's |w| series reached the sink, the
     Zeno guard's inputs ``w_max`` (each agent's largest |w|) and
@@ -99,13 +99,14 @@ class RunRecord:
     ``delta``, ``threshold``, ``w_norm``, ``e_norm``, the trigger quantities
     as evaluated at each instant's CTC check (pre-reset), which a record
     reloaded from files has none of; and ``est_series`` when estimates are
-    dumped. Derived from them on access: ``events``, the (t, agent) pairs in
-    time then agent order; ``e_norm_post``, the estimation error after the
-    batch of resets, exactly zero wherever an event fired; ``r_series``, each
-    agent's offset from the leader; and ``dist_series``.
+    dumped. Derived on access: ``times``, k h for each sample k; ``events``,
+    the (t, agent) pairs in time then agent order; ``e_norm_post``, the
+    estimation error after the batch of resets, exactly zero wherever an
+    event fired; ``r_series``, each agent's offset from the leader; and
+    ``dist_series``.
     """
 
-    times: np.ndarray
+    h: float
     v_series: np.ndarray
     per_agent_event_counts: np.ndarray
     r_norm_sum: float
@@ -126,6 +127,10 @@ class RunRecord:
     sync_mismatches: int = 0
     runtime_seconds: float = 0.0
     error: str | None = None
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.v_series)) * self.h
 
     @property
     def events(self) -> list:
@@ -156,7 +161,7 @@ class RunRecord:
 
     @property
     def n_steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.v_series) - 1
 
 
 def csv_columns(n_agents: int, n: int, estimates: bool) -> list:
@@ -206,19 +211,20 @@ class RunSink:
 
     ``RunSink(prep, out_dir)`` streams the run's CSVs into ``out_dir`` and
     keeps only what the summary needs; ``RunSink(prep)`` keeps every sample
-    in memory as well. Kept whole either way, 8 (N + 2) bytes per sample:
-    the times and V, for the decay fit and its end values, and each agent's
-    distance from the leader, summed at close in one numpy sum over the
-    (samples, N) array, so ``r_norm_sum`` has the bits of that sum whether
-    or not the run was cut short. Kept per agent: the event counts and,
-    when the rows carry |w|, the Zeno guard's running largest |w| and
-    shortest gap between events. A streamed sink's files are complete when
-    the ``run_batch`` that feeds it returns, not before it closes.
-    ``series`` names what the sink takes beside the states and flags: the
-    trigger series in memory, |w| streamed on practical runs, and ``est``
-    when its config dumps estimates. ``lipschitz`` is a practical run's
-    ``LipschitzData``, for the record's ``bounds`` and ``zeno_guard``. A sink
-    that would not fit in memory is refused before its directory is made.
+    in memory as well. Kept whole either way, 8 (N + 1) bytes per sample:
+    V, for the decay fit and its end values, and each agent's distance from
+    the leader, summed at close in one numpy sum over the (samples, N)
+    array, so ``r_norm_sum`` has the bits of that sum whether or not the run
+    was cut short. Sample k is at k h in the CSVs, the gap scan and the
+    record. Kept per agent: the event counts and, when the rows carry |w|,
+    the Zeno guard's running largest |w| and shortest gap between events. A
+    streamed sink's files are complete when the ``run_batch`` that feeds it
+    returns, not before it closes. ``series`` names what the sink takes
+    beside the states and flags: the trigger series in memory, |w| streamed
+    on practical runs, and ``est`` when its config dumps estimates.
+    ``lipschitz`` is a practical run's ``LipschitzData``, for the record's
+    ``bounds`` and ``zeno_guard``. A sink that would not fit in memory is
+    refused before its directory is made.
     """
 
     def __init__(self, prep, out_dir=None, lipschitz: LipschitzData | None = None):
@@ -226,7 +232,7 @@ class RunSink:
         rows = prep.n_steps + 1
         dump = prep.cfg.dump_estimates
         est = ("est",) if dump else ()
-        row_bytes = 8 * (n_agents + 2)
+        row_bytes = 8 * (n_agents + 1)
         if out_dir is None:
             self.series = _TRIGGER_SERIES + est
             self.keep = ("states", "flags", *self.series)
@@ -239,7 +245,6 @@ class RunSink:
         self.lipschitz = lipschitz
         self.csv = None if out_dir is None else CsvWriter(out_dir, n_agents, dim, dump)
         self.kept = {}
-        self.times = np.empty(rows)
         self.v = np.empty(rows)
         self.r = np.empty((rows, n_agents))
         self.counts = np.zeros(n_agents, dtype=int)
@@ -249,9 +254,10 @@ class RunSink:
         self.n = 0
 
     def put(self, rows: dict) -> None:
-        """Take the next samples: ``times``, ``states``, ``flags``, and any named series."""
-        times, states, flags = rows["times"], rows["states"], rows["flags"]
-        span = slice(self.n, self.n + len(times))
+        """Take the next samples: ``states``, ``flags``, and any named series."""
+        states, flags = rows["states"], rows["flags"]
+        span = slice(self.n, self.n + len(states))
+        times = np.arange(span.start, span.stop) * self.prep.cfg.h
         if self.csv is not None:
             self.csv.put(times, states, flags, rows.get("est"))
         for name in self.keep:
@@ -260,7 +266,6 @@ class RunSink:
                     a = rows[name]
                     self.kept[name] = np.empty((len(self.v), *a.shape[1:]), a.dtype)
                 self.kept[name][span] = rows[name]
-        self.times[span] = times
         self.r[span] = metrics_mod.r_norms(states)
         metrics_mod.v_series(states, self.prep.cert.P, out=self.v[span])
         self.counts += flags.sum(axis=0)
@@ -278,7 +283,7 @@ class RunSink:
         n, prep = self.n, self.prep
         kept = {name: a[:n] for name, a in self.kept.items()}
         record = RunRecord(
-            times=self.times[:n],
+            h=prep.cfg.h,
             v_series=self.v[:n],
             per_agent_event_counts=self.counts,
             r_norm_sum=float(self.r[:n].sum()),
@@ -317,9 +322,10 @@ def write_run_outputs(
     if record.states is not None:
         est = record.est_series
         writer = CsvWriter(out, *record.states.shape[1:], est is not None)
-        for start in range(0, len(record.times), _WRITE_BLOCK):
+        times = record.times
+        for start in range(0, len(times), _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
-            writer.put(record.times[block], record.states[block], record.event_flags[block],
+            writer.put(times[block], record.states[block], record.event_flags[block],
                        None if est is None else est[block])
     if report is None:
         report = metrics_mod.compute_metrics(record)
@@ -342,8 +348,8 @@ def write_run_outputs(
     return out
 
 
-def _read_states(path: Path, prep) -> tuple:
-    """(times, states) of a states.csv written for ``prep``; a ConfigError naming it if malformed."""
+def _read_states(path: Path, prep) -> np.ndarray:
+    """The states of a states.csv written for ``prep``; a ConfigError naming it if malformed."""
     n_agents, dim = prep.x0.shape
     header = ",".join(csv_columns(n_agents, dim, prep.cfg.dump_estimates)) + "\n"
     try:
@@ -353,9 +359,11 @@ def _read_states(path: Path, prep) -> tuple:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if not 0 < len(data) <= prep.n_steps + 1 or data.shape[1] != header.count(",") + 1:
             raise ValueError(f"it holds {data.shape} values, not up to duration/h + 1 full rows")
+        if not np.array_equal(data[:, 0], np.arange(len(data)) * prep.cfg.h):
+            raise ValueError("its t column is not k * h, k = 0, 1, ...")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path} is not the states of its run: {exc}") from None
-    return data[:, 0], data[:, 1 : 1 + n_agents * dim].reshape(-1, n_agents, dim)
+    return data[:, 1 : 1 + n_agents * dim].reshape(-1, n_agents, dim)
 
 
 def load_run_record(run_dir) -> RunRecord:
@@ -375,7 +383,7 @@ def load_run_record(run_dir) -> RunRecord:
         prep = prepare_dict(config)
     except EtcError as exc:
         raise ConfigError(f"{path} holds no valid run config: {exc}") from None
-    times, states = _read_states(run_dir / "states.csv", prep)
+    states = _read_states(run_dir / "states.csv", prep)
 
     flags = np.zeros(states.shape[:2], dtype=bool)
     path = run_dir / "events.csv"
@@ -391,5 +399,5 @@ def load_run_record(run_dir) -> RunRecord:
         raise ConfigError(f"{path} is not the event log of its run: {exc}") from None
 
     sink = RunSink(prep)
-    sink.put({"times": times, "states": states, "flags": flags})
+    sink.put({"states": states, "flags": flags})
     return sink.close(0.0)

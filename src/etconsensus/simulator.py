@@ -53,7 +53,7 @@ from .control import (  # the Zeno guard is part of this module's API
 )
 from .csvfork import placed
 from .errors import NumericsError
-from .estimation import EstimatorBank, apply_broadcast, propagate_all
+from .estimation import EstimatorBank, apply_broadcast, nonfinite, propagate_all
 from .lockstep import Lockstep, lockstep
 from .outputs import (  # records and their files are part of this module's API
     RunRecord,
@@ -190,7 +190,6 @@ def _banks_synchronized(banks: list[EstimatorBank], groups: tuple) -> bool:
 # bank-form test reference and the Zeno guard tests build their records through it.
 def _assemble_record(
     prep: Prepared,
-    times,
     states,
     flags,
     delta,
@@ -202,7 +201,7 @@ def _assemble_record(
     error=None,
 ) -> RunRecord:
     """The record of a run's complete rows, fed through an in-memory ``RunSink`` in one block."""
-    rows = {"times": times, "states": states, "flags": flags, "delta": delta,
+    rows = {"states": states, "flags": flags, "delta": delta,
             "threshold": threshold, "w_norm": w_norm, "e_norm": e_norm, "est": est_series}
     sink = RunSink(prep)
     sink.put({name: np.asarray(a) for name, a in rows.items() if a is not None})
@@ -214,10 +213,10 @@ class _Buffer:
 
     Each sink gets its member's columns of ``states``, ``flags`` and every
     series it names, C-contiguous (``np.take``; a fancy index on the agent
-    axis would come back agent-axis major), with the sample times ``k * h``.
+    axis would come back agent-axis major).
     """
 
-    def __init__(self, core: Lockstep, names: tuple, k0: int, sinks: list):
+    def __init__(self, core: Lockstep, names: tuple, sinks: list):
         n_rows, n = core.x0.shape
         self.arrays = {
             name: np.zeros(
@@ -230,9 +229,7 @@ class _Buffer:
         self.states, self.flags, self.est = get("states"), get("flags"), get("est")
         self.delta, self.threshold = get("delta"), get("threshold")
         self.w_norm, self.e_norm = get("w_norm"), get("e_norm")
-        self.h = core.h
         self.members = tuple(zip(sinks, core.member_rows))
-        self.k0 = k0
         self.j = 0
 
     def keep(self, world: WorldState) -> None:
@@ -257,30 +254,10 @@ class _Buffer:
 
     def flush(self) -> None:
         j = self.j
-        times = np.arange(self.k0, self.k0 + j) * self.h
         for sink, rows in self.members:
-            sink.put({"times": times, **{name: np.take(self.arrays[name][:j], rows, axis=1)
-                                         for name in ("states", "flags", *sink.series)}})
-        self.k0 += j
+            sink.put({name: np.take(self.arrays[name][:j], rows, axis=1)
+                      for name in ("states", "flags", *sink.series)})
         self.j = 0
-
-
-def _failures(exc: NumericsError, world: WorldState, core, preps: list) -> dict:
-    """The members that go non-finite on this step, each with the error its solo run raises.
-
-    Each member's rows are stepped alone, which is bitwise what its solo run
-    does at this step, so the message is its solo run's own.
-    """
-    failed = {}
-    for b, (prep, rows) in enumerate(zip(preps, core.member_rows)):
-        alone = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
-        try:
-            _advance(alone, lockstep([prep]))
-        except NumericsError as member_exc:
-            failed[b] = str(member_exc)
-    if not failed:
-        raise exc
-    return failed
 
 
 def run_batch(preps, sinks=None) -> list:
@@ -290,18 +267,18 @@ def run_batch(preps, sinks=None) -> list:
     ``lockstep``); edges, x0, parameters and gains may differ. Every member is
     bit for bit its solo ``run``. Each member's rows go to its sink a block
     of steps at a time: ``sink.put(rows)`` gets a dict of its samples
-    (``times``, ``states``, ``flags`` and every series the sink names in its
+    (``states``, ``flags`` and every series the sink names in its
     ``series``: trigger series, and ``est`` for dumped estimates), and
     ``sink.close(runtime, error)`` gives the member's result. Without sinks
     every member is kept in memory by an ``outputs.RunSink``, given its
     Lipschitz data when practical, and comes back as its ``RunRecord``. A
     member that becomes non-finite is closed after its last finite row with
-    the error its solo run raises, and leaves the batch; the others carry
-    on. Returns the results in member order; ``runtime`` is the batch's loop
-    time up to the member's close. The CSV text of streamed sinks may be
-    made by a forked writer process (``csvfork.placed``), so a file may
-    still be written after its sink closes; every file is complete when this
-    returns.
+    the error its solo run raises, read from its own rows of the failing
+    step, and leaves the batch; the others carry on. Returns the results in
+    member order; ``runtime`` is the batch's loop time up to the member's
+    close. The CSV text of streamed sinks may be made by a forked writer
+    process (``csvfork.placed``), so a file may still be written after its
+    sink closes; every file is complete when this returns.
     """
     preps = list(preps)
     if sinks is None:
@@ -313,7 +290,7 @@ def run_batch(preps, sinks=None) -> list:
     alive = list(range(len(preps)))
     core = lockstep(preps)
     world = initial_world(core)
-    buf = _Buffer(core, names, 0, sinks)
+    buf = _Buffer(core, names, sinks)
     buf.keep(world)
     start = time.perf_counter()
     with placed(sinks):
@@ -323,7 +300,9 @@ def run_batch(preps, sinks=None) -> list:
                 world = _step(world, core)
             except NumericsError as exc:
                 buf.flush()
-                failed = _failures(exc, world, core, [preps[b] for b in alive])
+                t = world.t + core.h
+                messages = [nonfinite(exc.stack, rows, t) for rows in core.member_rows]
+                failed = {pos: m for pos, m in enumerate(messages) if m is not None}
                 runtime = time.perf_counter() - start
                 for pos, message in failed.items():
                     results[alive[pos]] = sinks[alive[pos]].close(runtime, message)
@@ -336,7 +315,7 @@ def run_batch(preps, sinks=None) -> list:
                 for pos, new_rows in zip(kept, core.member_rows):
                     rows[new_rows] = old.member_rows[pos]
                 world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
-                buf = _Buffer(core, names, buf.k0, [sinks[b] for b in alive])
+                buf = _Buffer(core, names, [sinks[b] for b in alive])
                 continue
             buf.keep(world)
             k += 1

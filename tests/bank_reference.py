@@ -249,11 +249,9 @@ def bank_step(world: BankWorld, prep: Prepared, layout: BankLayout) -> BankWorld
 
 def run_reference(prep: Prepared) -> RunRecord:
     """The bank-form run of a prepared config, with its synchrony mismatch count."""
-    cfg = prep.cfg
     layout = bank_layout(prep)
     n_agents = prep.graph.n_agents
     rows = prep.n_steps + 1
-    times = np.empty(rows)
     states = np.empty((rows, n_agents, prep.model.state_dim))
     flags = np.zeros((rows, n_agents), dtype=bool)
     delta, threshold, w_norm, e_norm = (np.empty((rows, n_agents)) for _ in range(4))
@@ -273,7 +271,6 @@ def run_reference(prep: Prepared) -> RunRecord:
             world = bank_step(world, prep, layout)
             flags[k] = world.trigger.fired
         tr = world.trigger
-        times[k] = k * cfg.h
         states[k] = world.x
         delta[k] = tr.delta
         threshold[k] = tr.threshold
@@ -282,7 +279,7 @@ def run_reference(prep: Prepared) -> RunRecord:
         if not _banks_synchronized(world.banks, layout.sync_groups):
             mismatches += 1
     record = _assemble_record(
-        prep, times, states, flags, delta, threshold, w_norm, e_norm, None,
+        prep, states, flags, delta, threshold, w_norm, e_norm, None,
         time.perf_counter() - start,
     )
     record.sync_mismatches = mismatches

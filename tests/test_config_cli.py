@@ -1,6 +1,7 @@
 """Config files, presets, and the command-line entry point."""
 
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from etconsensus.config import (
     load_preset,
     preset_config,
 )
-from etconsensus.errors import ConfigError
+from etconsensus.errors import ConfigError, UsageError
 
 
 # One value per field kind that a field of that kind refuses.
@@ -483,6 +484,7 @@ class TestMetricsCommand:
             ("events.csv", lambda text: text + "0.5;2\n"),
             ("events.csv", lambda text: text + "0.1,9\n"),
             ("states.csv", lambda text: text + "0.51,1,2\n"),
+            ("states.csv", lambda text: text.replace("\n0.01,", "\n0.0100001,", 1)),  # t not k*h
         ],
     )
     def test_malformed_run_directory_exits_2_naming_the_file(
@@ -730,6 +732,69 @@ class TestSweep:
             assert main(["run", "--config", cfgp, "--out", str(solo)]) == 0
             for name in ("states.csv", "events.csv"):
                 assert (out / slug / name).read_bytes() == (solo / name).read_bytes()
+
+    def test_unwritable_summary_fails_its_point_alone(self, tmp_path, monkeypatch, capsys):
+        """A point whose summary.json is a directory fails alone, at both --jobs values.
+
+        Each sweep writes to ``sw`` in its own working directory, so the
+        failure names the same path and the two sweep summaries can be equal.
+        """
+        base = {**preset_config("paper-asym-040"), "duration": 0.1}
+        specp = write_json(tmp_path / "s.json", {"base": base, "grid": {"sigma": [0.5, 0.7, 0.9]}})
+        clean = tmp_path / "clean"
+        assert main(["sweep", "--config", specp, "--out", str(clean)]) == 0
+        outs = [tmp_path / "j1" / "sw", tmp_path / "j2" / "sw"]
+        for out, jobs in zip(outs, ("1", "2")):
+            (out / "sigma=0.7" / "summary.json").mkdir(parents=True)
+            monkeypatch.chdir(out.parent)
+            assert main(["sweep", "--config", specp, "--out", "sw", "--jobs", jobs]) == 2
+            assert "sweep point sigma=0.7 failed" in capsys.readouterr().err
+            summary = json.loads((out / "sweep_summary.json").read_text())
+            assert summary["failed"] == {
+                "sigma=0.7": "cannot write sw/sigma=0.7/summary.json: Is a directory"
+            }
+            assert sorted(summary["points"]) == ["sigma=0.5", "sigma=0.9"]
+            assert (out / "tables.md").exists()
+            for slug in summary["points"]:
+                for name in ("states.csv", "events.csv"):
+                    assert (out / slug / name).read_bytes() == (clean / slug / name).read_bytes()
+                runs = [json.loads((d / slug / "summary.json").read_text()) for d in (out, clean)]
+                for run in runs:
+                    del run["runtime_seconds"]
+                assert runs[0] == runs[1]
+        assert (outs[0] / "sweep_summary.json").read_bytes() == (outs[1] / "sweep_summary.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "exc,message",
+        [
+            (UsageError("the euler batch broke"), "the euler batch broke"),
+            (OSError(errno.ENOSPC, "No space left on device", "disk"),
+             "cannot write disk: No space left on device"),
+        ],
+    )
+    def test_batch_whose_run_raises_fails_only_its_points(self, exc, message, tmp_path,
+                                                          monkeypatch, capsys):
+        original = cli.run_batch
+
+        def failing(preps, sinks=None):
+            if preps[0].cfg.integrator == "euler":
+                raise exc
+            return original(preps, sinks)
+
+        monkeypatch.setattr(cli, "run_batch", failing)
+        base = {**preset_config("paper-asym-040"), "duration": 0.1}
+        grid = {"integrator": ["euler", "rk4"], "sigma": [0.5, 0.9]}
+        specp = write_json(tmp_path / "s.json", {"base": base, "grid": grid})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", specp, "--out", str(out), "--jobs", "1"]) == 2
+        capsys.readouterr()
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        euler = ["integrator=euler__sigma=0.5", "integrator=euler__sigma=0.9"]
+        assert summary["failed"] == {slug: message for slug in euler}
+        assert sorted(summary["points"]) == ["integrator=rk4__sigma=0.5", "integrator=rk4__sigma=0.9"]
+        assert (out / "tables.md").exists()
+        for slug in summary["points"]:
+            assert json.loads((out / slug / "summary.json").read_text())["error"] is None
 
     def test_parallel_jobs_byte_identical(self, tmp_path):
         specp = sweep_spec_file(tmp_path)

@@ -14,7 +14,7 @@ from bank_reference import propagate_all as propagate_banks
 from conftest import drift
 from etconsensus.dynamics import SystemModel, make_model
 from etconsensus.errors import NumericsError, TopologyError
-from etconsensus.estimation import EstimatorBank, apply_broadcast, propagate_all
+from etconsensus.estimation import EstimatorBank, apply_broadcast, nonfinite, propagate_all
 from etconsensus.graph import Graph
 from etconsensus.integrate import stage_buffers
 
@@ -165,6 +165,48 @@ class TestPropagate:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericsError, match="estimator state of agent 2 "):
                 propagate_all(y, stacked_field(model), 0.01, STAGES)
+
+    def test_propagate_all_carries_the_stepped_stack(self):
+        y = np.concatenate((X0, X0))
+        y[7, 1] = np.nan
+        with pytest.raises(NumericsError) as info:
+            propagate_all(y, stacked_field(make_model("paper-sys")), 0.01, STAGES, t=0.25)
+        stack = info.value.stack
+        assert stack.shape == y.shape and np.isnan(stack[7, 1])
+        assert str(info.value) == nonfinite(stack, slice(None), 0.26)
+
+
+class TestNonfinite:
+    """``nonfinite`` reads the error of some rows of a stepped [x; xhat] stack."""
+
+    def test_a_row_subset_names_its_agents_by_index_within_it(self):
+        stack = np.concatenate((X0, X0))
+        stack[5 + 3, 0] = np.inf  # the estimate of agent 3
+        assert nonfinite(stack, [1, 3, 4], 0.5) == (
+            f"estimator state of agent 1 became non-finite at t = 0.500000:"
+            f" xhat = {[np.inf, float(X0[3, 1])]}"
+        )
+        stack = np.concatenate((X0, X0))
+        stack[4, 1] = np.nan  # the true state of agent 4
+        x = [X0[2].tolist(), [float(X0[4, 0]), np.nan]]
+        assert nonfinite(stack, np.array([2, 4]), 0.02) == (
+            f"non-finite true state at t = 0.020000: x = {x}"
+        )
+
+    def test_the_estimate_is_named_before_the_true_state(self):
+        stack = np.concatenate((X0, X0))
+        stack[0, 0] = np.inf
+        stack[5 + 2, 1] = np.nan
+        assert nonfinite(stack, slice(None), 1.0).startswith(
+            "estimator state of agent 2 became non-finite at t = 1.000000: "
+        )
+
+    def test_finite_rows_give_none(self):
+        stack = np.concatenate((X0, X0))
+        stack[1, 0] = np.inf
+        stack[5 + 1, 0] = np.nan
+        assert nonfinite(stack, [0, 2, 3, 4], 0.01) is None
+        assert nonfinite(np.concatenate((X0, X0)), slice(None), 0.01) is None
 
 
 class TestBroadcast:

@@ -11,23 +11,21 @@ from etconsensus.simulator import RunRecord
 def synthetic_record(
     states: np.ndarray,
     events=None,
-    times=None,
+    h=0.01,
     v_series=None,
     degrees=None,
 ) -> RunRecord:
     states = np.asarray(states, dtype=float)
     k, n_agents, _ = states.shape
-    times = np.arange(k, dtype=float) * 0.01 if times is None else np.asarray(times)
     events = [] if events is None else events
     flags = np.zeros((k, n_agents), dtype=bool)
-    h = times[1] - times[0] if k > 1 else 1.0
     for t, a in events:
         flags[int(round(t / h)), a] = True
     rf = states[:, 1:, :] - states[:, :1, :]
     if v_series is None:
         v_series = np.einsum("kin,in->k", rf * rf, np.ones((n_agents - 1, states.shape[2])))
     return RunRecord(
-        times=times,
+        h=h,
         v_series=np.asarray(v_series, dtype=float),
         per_agent_event_counts=flags.sum(axis=0),
         r_norm_sum=float(np.sqrt((rf * rf).sum(axis=2)).sum()),
@@ -97,13 +95,12 @@ class TestDecayRate:
         times = np.linspace(0.0, 10.0, 1001)
         states = np.zeros((1001, 2, 2))
         v = 51.0 * np.exp(-2.0 * times)
-        rec = synthetic_record(states, times=times, v_series=v)
+        rec = synthetic_record(states, h=0.01, v_series=v)
         assert math.isclose(fit_decay_rate(rec), 2.0, rel_tol=1e-9)
 
     def test_constant_series_gives_zero(self):
-        times = np.linspace(0.0, 1.0, 11)
         states = np.zeros((11, 2, 2))
-        rec = synthetic_record(states, times=times, v_series=np.full(11, 3.0))
+        rec = synthetic_record(states, h=0.1, v_series=np.full(11, 3.0))
         assert fit_decay_rate(rec) == 0.0
 
     def test_zero_crossing_truncates_window(self):
@@ -111,7 +108,7 @@ class TestDecayRate:
         v = np.exp(-4.0 * times)
         v[60:] = 0.0
         states = np.zeros((101, 2, 2))
-        rec = synthetic_record(states, times=times, v_series=v)
+        rec = synthetic_record(states, h=0.01, v_series=v)
         assert math.isclose(fit_decay_rate(rec), 4.0, rel_tol=1e-9)
 
     def test_too_short_series_gives_zero(self):

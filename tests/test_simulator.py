@@ -303,9 +303,9 @@ class TestNumericsFailure:
         assert np.isfinite(rec.states).all()
 
 
-def fabricated(prep, rec, times, flags):
-    """``rec`` with the sample times and event log replaced, its facts worked out again."""
-    return _assemble_record(prep, times, rec.states, flags, rec.delta, rec.threshold,
+def fabricated(prep, rec, flags):
+    """``rec`` with its event log replaced, its facts worked out again."""
+    return _assemble_record(prep, rec.states, flags, rec.delta, rec.threshold,
                             rec.w_norm, rec.e_norm, None, 0.0)
 
 
@@ -333,10 +333,9 @@ class TestZenoGuard:
         prep = prepare(rec.config)
         _, lip = lipschitz_cache([0.40])
         flags = np.zeros_like(rec.event_flags)
-        flags[1:3, 3] = True
-        times = rec.times.copy()
-        times[2] = times[1] + 1e-9
-        fake = fabricated(prep, rec, times, flags)
+        flags[1:3, 3] = True  # one step apart: h = 0.01 is below agent 3's tau
+        fake = fabricated(prep, rec, flags)
+        assert fake.min_inter_event[3] == prep.cfg.h
         report = zeno_guard_report(fake, prep.params, lip)
         assert not report.satisfied
         assert report.min_inter_event[3] < report.tau[3]
@@ -388,7 +387,7 @@ class TestZenoGuard:
         _, lip = lipschitz_cache([0.40])
         flags = np.zeros_like(rec.event_flags)
         flags[50, 2] = True
-        fake = fabricated(prep, rec, rec.times, flags)
+        fake = fabricated(prep, rec, flags)
         report = zeno_guard_report(fake, prep.params, lip)
         assert report.satisfied
         assert all(math.isinf(g) for g in report.min_inter_event)

@@ -29,8 +29,9 @@ def write_csvs_ref(record, out):
     if record.est_series is not None:
         cols += [f"xhat{i + 1}_{d + 1}" for i in range(n_agents) for d in range(n)]
     lines = ["t," + ",".join(cols)]
+    times = record.times
     for k in range(record.states.shape[0]):
-        row = [_fmt(record.times[k])]
+        row = [_fmt(times[k])]
         row += [_fmt(v) for v in record.states[k].ravel()]
         if record.est_series is not None:
             row += [_fmt(v) for v in record.est_series[k].ravel()]
@@ -55,14 +56,13 @@ def test_special_values(tmp_path):
     specials = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3.0, -1e-310, 1e308,
                 math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0, -123456789.0]
     states.reshape(-1)[: len(specials)] = specials
-    times = rec.times.copy()
-    times[1] = -0.0
-    times[2] = 5e-324
     flags = rec.event_flags.copy()
     flags[1, 4] = flags[2, 0] = True
-    assert_same_bytes(
-        dataclasses.replace(rec, states=states, times=times, event_flags=flags), tmp_path
-    )
+    # Sample k is at k h: h = -0.0 makes every time -0.0, h = 5e-324 subnormal times.
+    for h in (rec.h, -0.0, 5e-324):
+        assert_same_bytes(
+            dataclasses.replace(rec, h=h, states=states, event_flags=flags), tmp_path / repr(h)
+        )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
