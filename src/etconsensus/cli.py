@@ -23,9 +23,10 @@ from .config import (
     FIELD_NAMES,
     PRESET_NAMES,
     check_fits,
+    config_from_dict,
     load_config,
     load_preset,
-    prepare_dict,
+    prepare,
     preset_config,
 )
 from .dynamics import check_cmf, trig_grid
@@ -152,36 +153,28 @@ def _sweep_points(grid: dict, limit: int | None) -> list:
 
 
 def _sweep_batch(items) -> list:
-    """Run one chunk of sweep points: [(slug, report, None) or (slug, None, (exit code, message))].
+    """Run one chunk of validated sweep points: [(slug, report, None) or (slug, None, (exit code, message))].
 
-    Every point is prepared on its own, so a bad one fails alone; the rest
-    are grouped by ``batch_key``, and each group is opened, run in lockstep
-    as one batch and written before the next one opens. Every prepared run
-    is held until the chunk's last group is written.
+    The points are grouped by ``batch_key``; each group is prepared, run in
+    lockstep as one batch and written before the next is prepared.
     """
-    results, groups, known = [], {}, {}
-    for slug, config_dict, out_dir in items:
-        try:
-            prep = prepare_dict(config_dict)
-            point = (slug, Path(out_dir) / slug, prep, practical_lipschitz(prep, known))
-        except EtcError as exc:
-            results.append((slug, None, _failure(exc)))
-        else:
-            groups.setdefault(batch_key(prep), []).append(point)
-    for group in groups.values():
-        results += _sweep_group(group)
-    return results
+    groups, known = {}, {}
+    for item in items:
+        groups.setdefault(batch_key(item[1]), []).append(item)
+    return [r for group in groups.values() for r in _sweep_group(group, known)]
 
 
-def _sweep_group(group) -> list:
-    """Open, run and write one batch of prepared points; its sinks are freed when this returns.
+def _sweep_group(group, known) -> list:
+    """Prepare, run and write one batch; its prepared runs and sinks are freed when this returns.
 
-    A point whose sink or summary cannot be written fails alone; a run that raises fails them all.
+    A point that cannot be prepared, or whose sink or summary cannot be
+    written, fails alone; a run that raises fails them all.
     """
     results, opened = [], []
-    for slug, out, prep, lip in group:
+    for slug, cfg, out in group:
         try:
-            opened.append((slug, out, RunSink(prep, out, lip)))
+            prep = prepare(cfg)
+            opened.append((slug, out, RunSink(prep, out, practical_lipschitz(prep, known))))
         except (EtcError, OSError) as exc:
             results.append((slug, None, _failure(exc)))
     if not opened:
@@ -225,17 +218,22 @@ def cmd_sweep(args) -> int:
     points = _sweep_points(spec["grid"], None if args.force else _SWEEP_LIMIT)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    items = [(slug, {**base, **overrides}, str(out)) for slug, overrides in points]
+    results, items = [], []
+    for slug, overrides in points:
+        try:
+            items.append((slug, config_from_dict({**base, **overrides}), out / slug))
+        except EtcError as exc:
+            results.append((slug, None, _failure(exc)))
 
     # Dealt round-robin, so each chunk gets its share of every batch.
     chunks = [items[i :: args.jobs] for i in range(min(args.jobs, len(items)))]
-    if args.jobs > 1:
+    if len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
         # A fork-started pool forks all its workers at the first submit.
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = [r for rs in pool.map(_sweep_batch, chunks) for r in rs]
+            results += [r for rs in pool.map(_sweep_batch, chunks) for r in rs]
     else:
-        results = [r for chunk in chunks for r in _sweep_batch(chunk)]
+        results += [r for chunk in chunks for r in _sweep_batch(chunk)]
 
     results.sort(key=lambda triple: triple[0])
     done = {slug: report for slug, report, error in results if error is None}

@@ -1,18 +1,17 @@
 """The run config: ``SimConfig``, its checks, named presets and config files.
 
-Each ``SimConfig`` field declares its kind once, in its ``metadata``, and
-``prepare`` checks every field against its kind in one loop (see ``_KINDS``).
-A field may be None exactly when its default is None. ``prepare`` itself
-keeps only the rules that tie fields together, then derives the run. The
-ranges a component owns are checked there: the gains, sigma_i and b_i in
-``control``, epsilon in ``graph``, rho and q in ``dynamics``.
+A ``SimConfig`` is checked when it is made, and frozen: each field against
+the kind its ``metadata`` declares, in one loop (see ``_KINDS``), then the
+rules that tie fields together. A field may be None exactly when its default
+is None. ``prepare`` only derives the run; what it derives checks the rest:
+the shapes of x0 and P, and the ranges a component owns (the gains, sigma_i
+and b_i in ``control``, epsilon in ``graph``, rho and q in ``dynamics``).
 
 A config file is one flat JSON object whose keys match SimConfig's fields.
 Optional keys take documented defaults (h = 0.01, integrator = rk4,
-epsilon = 1/lambda_max, b_i = 1/(5 l_ii) via null). Loading validates the
-full parameter set once, through ``prepare``, and returns the prepared run:
-``run(load_config(path))`` runs it without validating or deriving anything
-again.
+epsilon = 1/lambda_max, b_i = 1/(5 l_ii) via null). ``config_from_dict``
+validates one and derives nothing; ``run(load_config(path))`` runs a
+prepared file without validating or deriving anything again.
 """
 
 from __future__ import annotations
@@ -103,11 +102,11 @@ def check_fits(n_rows, row_bytes: int, what: str, fix: str = "shorten duration o
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Complete description of one simulation run.
+    """Complete description of one simulation run, checked when it is made.
 
-    Each field's ``metadata["kind"]`` is its check in ``prepare``. Only ``b``
+    Each field's ``metadata["kind"]`` is its check. Only ``b``
     and ``epsilon`` may be None, their default, for b_i = 1/(5 l_ii) and
     epsilon = 1/lambda_max(L). ``seed`` is reserved for future stochastic
     extensions and unused: runs are deterministic. ``check_synchrony`` is
@@ -138,6 +137,26 @@ class SimConfig:
     check_synchrony: bool = field(default=True, metadata={"kind": "flag"})
     seed: int = field(default=0, metadata={"kind": "int"})
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (v is None and f.default is None):
+                _check_field(f.name, f.metadata["kind"], v)
+        n = self.n_agents
+        check_fits(n * n, 8, f"the {n} x {n} adjacency of n_agents = {n}", "lower n_agents")
+        steps = self.duration / self.h
+        if not (math.isfinite(steps) and abs(steps - self.n_steps) <= 1e-9 * max(steps, 1.0)):
+            raise ConfigError(f"duration must be an integer multiple of h, got duration ="
+                              f" {self.duration!r} and h = {self.h!r}")
+        if (self.xi > 0.0) != (self.ctc == "practical"):  # build_trigger_params refuses xi < 0
+            raise ConfigError(f"xi must be > 0 when ctc is practical and 0 otherwise, got"
+                              f" {self.xi!r}")
+
+    @property
+    def n_steps(self) -> int:
+        """duration/h, rounded to a whole number of steps."""
+        return int(round(self.duration / self.h))
+
     def to_dict(self) -> dict:
         """JSON-ready form, one key per field."""
 
@@ -155,7 +174,7 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class Prepared:
-    """A run's validated inputs and what its config derives.
+    """A validated config and what it derives.
 
     ``n_steps`` is duration/h; h and the integrator are read from ``cfg``.
     The step loop reads a ``lockstep.Lockstep`` built from one or more of
@@ -173,41 +192,22 @@ class Prepared:
 
 
 def prepare(cfg: SimConfig) -> Prepared:
-    """Validate a config and derive every object a run needs.
+    """Derive every object a run of a validated config needs.
 
     Raises ConfigError (or a more specific package error) naming the field
     and the violated constraint.
     """
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if not (v is None and f.default is None):
-            _check_field(f.name, f.metadata["kind"], v)
-    n = cfg.n_agents
-    check_fits(n * n, 8, f"the {n} x {n} adjacency of n_agents = {n}", "lower n_agents")
-    steps = cfg.duration / cfg.h
-    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
-        raise ConfigError(
-            f"duration must be an integer multiple of h, got duration = {cfg.duration!r}"
-            f" and h = {cfg.h!r}"
-        )
-    if (cfg.xi > 0.0) != (cfg.ctc == "practical"):  # build_trigger_params refuses xi < 0
-        raise ConfigError(f"xi must be > 0 when ctc is practical and 0 otherwise, got {cfg.xi!r}")
-
     model = make_model(cfg.model, cfg.theta, cfg.theta_hat)
     graph = Graph.from_edges(cfg.n_agents, cfg.edges)
     lap = build_laplacian(graph, cfg.epsilon)
 
     x0 = np.asarray(cfg.x0, dtype=float)
     if x0.shape != (cfg.n_agents, model.state_dim):
-        raise ConfigError(
-            f"x0 must have shape {(cfg.n_agents, model.state_dim)}, got {x0.shape}"
-        )
+        raise ConfigError(f"x0 must have shape {(cfg.n_agents, model.state_dim)}, got {x0.shape}")
 
     P = np.asarray(cfg.P, dtype=float)
     if P.shape != (model.state_dim, model.state_dim):
-        raise ConfigError(
-            f"P must have shape {(model.state_dim, model.state_dim)}, got {P.shape}"
-        )
+        raise ConfigError(f"P must have shape {(model.state_dim, model.state_dim)}, got {P.shape}")
     cert = CmfCertificate(P=P, rho=cfg.rho, q=cfg.q)
     check_gain_condition(cfg.kappa1, cfg.rho, lap.mu)
     params = build_trigger_params(
@@ -220,7 +220,7 @@ def prepare(cfg: SimConfig) -> Prepared:
         b=cfg.b,
         xi=cfg.xi,
     )
-    return Prepared(cfg, model, graph, lap, params, cert, x0, int(round(steps)))
+    return Prepared(cfg, model, graph, lap, params, cert, x0, cfg.n_steps)
 
 
 _FIG1_EDGES = [[1, 2, 1.0], [2, 3, 1.0], [2, 5, 1.0], [3, 4, 1.0]]
@@ -279,23 +279,19 @@ def _preset_dicts() -> dict[str, dict]:
 PRESET_NAMES = tuple(sorted(_preset_dicts()))
 
 FIELD_NAMES = frozenset(f.name for f in fields(SimConfig))
-_DEFAULTS = {f.name: f.default for f in fields(SimConfig) if f.default is not MISSING}
 _REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
 
 
 def preset_config(name: str) -> dict:
     """Canonical dict form of a named preset."""
-    presets = _preset_dicts()
     try:
-        return presets[name]
+        return _preset_dicts()[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {PRESET_NAMES}"
-        ) from None
+        raise ConfigError(f"unknown preset {name!r}; available: {PRESET_NAMES}") from None
 
 
-def prepare_dict(data: dict, **overrides) -> Prepared:
-    """Build, validate and derive a run from a flat dict of config keys.
+def config_from_dict(data: dict, **overrides) -> SimConfig:
+    """Build and validate a SimConfig from a flat dict of config keys; derive nothing.
 
     ``overrides`` replace keys of ``data`` before the one validation.
     """
@@ -307,15 +303,12 @@ def prepare_dict(data: dict, **overrides) -> Prepared:
     missing = sorted(k for k in _REQUIRED if k not in data)
     if missing:
         raise ConfigError(f"missing required config field(s): {', '.join(missing)}")
-    merged = dict(_DEFAULTS)
-    merged.update(data)
-    merged.update(overrides)
-    return prepare(SimConfig(**merged))
+    return SimConfig(**{**data, **overrides})
 
 
-def config_from_dict(data: dict) -> SimConfig:
-    """Build and validate a SimConfig from a flat dict of config keys."""
-    return prepare_dict(data).cfg
+def prepare_dict(data: dict, **overrides) -> Prepared:
+    """Validate and derive a run from a flat dict of config keys (see ``config_from_dict``)."""
+    return prepare(config_from_dict(data, **overrides))
 
 
 def load_preset(name: str, **overrides) -> Prepared:

@@ -87,20 +87,20 @@ def layout(members: list, coeffs: list, n: int) -> dict:
 
 
 # What the members of one lockstep batch must share: the name given on a
-# mismatch and the prepared run's value.
+# mismatch and the config's value, read before anything is derived.
 _SHARED = (
-    ("model", lambda p: p.cfg.model),
-    ("integrator", lambda p: p.cfg.integrator),
-    ("h", lambda p: p.cfg.h),
-    ("duration/h", lambda p: p.n_steps),
-    ("n_agents", lambda p: p.graph.n_agents),
-    ("P", lambda p: p.cert.P.tobytes()),
+    ("model", lambda c: c.model),
+    ("integrator", lambda c: c.integrator),
+    ("h", lambda c: c.h),
+    ("duration/h", lambda c: c.n_steps),
+    ("n_agents", lambda c: c.n_agents),
+    ("P", lambda c: np.asarray(c.P, dtype=float).tobytes()),
 )
 
 
-def batch_key(prep) -> tuple:
-    """A prepared run's values that ``lockstep`` needs its members to share, as a tuple."""
-    return tuple(get(prep) for _, get in _SHARED)
+def batch_key(cfg) -> tuple:
+    """A config's values that ``lockstep`` needs its members to share, as a tuple."""
+    return tuple(get(cfg) for _, get in _SHARED)
 
 
 def lockstep(preps) -> Lockstep:
@@ -115,8 +115,8 @@ def lockstep(preps) -> Lockstep:
     """
     preps = list(preps)
     first = preps[0]
-    for name, get in _SHARED:
-        if any(get(p) != get(first) for p in preps):
+    for (name, _), values in zip(_SHARED, zip(*(batch_key(p.cfg) for p in preps))):
+        if len(set(values)) > 1:
             raise UsageError(f"runs stepped in lockstep must share {name}")
     n_members, n_agents = len(preps), first.graph.n_agents
 

@@ -14,7 +14,7 @@ import pytest
 
 from etconsensus import dynamics, graph, metrics, simulator
 from etconsensus.cli import main
-from etconsensus.config import load_preset, preset_config
+from etconsensus.config import config_from_dict, load_preset, preset_config
 
 COUNTED = {
     "prepare": simulator.prepare,
@@ -65,6 +65,14 @@ def test_one_of_each_per_run(preset, extra, counts, tmp_path):
     cfg = config_file(tmp_path, preset)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 0
     assert counts == dict.fromkeys(COUNTED, 1)
+
+
+def test_a_config_is_validated_without_deriving(counts):
+    """``config_from_dict`` checks every field and builds no Laplacian; ``prepare`` builds one."""
+    cfg = config_from_dict(preset_config("paper-zeno-040"))
+    assert counts == dict.fromkeys(COUNTED, 0)
+    simulator.prepare(cfg)
+    assert counts == {"prepare": 1, "build_laplacian": 1, "compute_metrics": 0}
 
 
 def test_one_of_each_per_sweep_point(counts, tmp_path):

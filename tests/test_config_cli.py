@@ -2,12 +2,14 @@
 
 import dataclasses
 import errno
+import gc
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,12 @@ class TestConfigFiles:
         del d["sigma"]
         with pytest.raises(ConfigError, match="sigma"):
             load_config(write_json(tmp_path / "c.json", d))
+
+    def test_a_checked_config_stays_checked(self):
+        cfg = config_from_dict(preset_config("paper-asym-040"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.h = -0.01
+        assert cfg.h == 0.01
 
     def test_bad_json(self, tmp_path):
         p = tmp_path / "c.json"
@@ -658,6 +666,39 @@ class TestSweep:
             [("euler", 0.5), ("euler", 0.9)], [("rk4", 0.7)],
             [("euler", 0.7)], [("rk4", 0.5), ("rk4", 0.9)],
         ]
+
+    def test_a_chunk_holds_one_batch_of_prepared_runs(self, tmp_path, monkeypatch):
+        """Each batch is prepared only after the last one's prepared runs are freed."""
+        held, alive = [], []  # weakrefs to every prepared run; how many live at each batch
+        original = cli.run_batch
+
+        def recording(preps, sinks=None):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in held))
+            held.extend(weakref.ref(p) for p in preps)
+            return original(preps, sinks)
+
+        monkeypatch.setattr(cli, "run_batch", recording)
+        base = {**preset_config("paper-asym-040"), "duration": 0.1}
+        grid = {"integrator": ["euler", "rk4"], "duration": [0.1, 0.2], "sigma": [0.5, 0.7]}
+        specp = write_json(tmp_path / "s.json", {"base": base, "grid": grid})
+        assert main(["sweep", "--config", specp, "--out", str(tmp_path / "sw"), "--jobs", "1"]) == 0
+        assert alive == [0, 0, 0, 0]
+        assert len(held) == 8
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_whose_every_point_is_invalid_exits_2(self, jobs, tmp_path, capsys):
+        """No point is left to run, so no chunk is made and no pool is built."""
+        grid = {"h": [-0.01, -0.02]}
+        specp = write_json(tmp_path / "s.json", {"preset": "paper-asym-040", "grid": grid})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", specp, "--out", str(out), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "sweep point h=-0.02 failed: h must be" in err
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["points"] == {} and summary["n_points"] == 2
+        assert sorted(summary["failed"]) == ["h=-0.01", "h=-0.02"]
+        assert (out / "tables.md").exists()
 
     def test_every_chunk_steps_in_one_lockstep(self, tmp_path, monkeypatch):
         """Points that prepare equal share one ``run_batch``, however their values are written.

@@ -20,7 +20,7 @@ import pytest
 
 from etconsensus import metrics
 from etconsensus.cli import main
-from etconsensus.config import load_preset, prepare_dict, preset_config
+from etconsensus.config import config_from_dict, load_preset, prepare_dict, preset_config
 from etconsensus.errors import NumericsError, UsageError
 from etconsensus.lockstep import batch_key
 from etconsensus.outputs import RunSink, practical_lipschitz
@@ -97,11 +97,11 @@ class TestMembersEqualSoloRuns:
     def test_batch_key_compares_prepared_values(self):
         """An int P and its float twin, or a default h and the same h given, share a key."""
         base = preset_config("paper-asym-040")
-        given = prepare_dict(base, duration=1.0)
+        given = config_from_dict(base, duration=1.0)
         default_h = {k: v for k, v in base.items() if k != "h"}
-        written_apart = prepare_dict(default_h, duration=1.0, P=[[5, 2], [2, 1]])
+        written_apart = config_from_dict(default_h, duration=1.0, P=[[5, 2], [2, 1]])
         assert batch_key(written_apart) == batch_key(given)
-        assert batch_key(prepare_dict(base, duration=2.0)) != batch_key(given)
+        assert batch_key(config_from_dict(base, duration=2.0)) != batch_key(given)
 
 
 def test_failing_member_leaves_the_batch():
