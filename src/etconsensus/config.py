@@ -3,9 +3,11 @@
 A ``SimConfig`` is checked when it is made, and frozen: each field against
 the kind its ``metadata`` declares, in one loop (see ``_KINDS``), then the
 rules that tie fields together. A field may be None exactly when its default
-is None. ``prepare`` only derives the run; what it derives checks the rest:
-the shapes of x0 and P, and the ranges a component owns (the gains, sigma_i
-and b_i in ``control``, epsilon in ``graph``, rho and q in ``dynamics``).
+is None. It keeps each list or array it is given as its own nested tuple,
+so a checked config stays checked. ``prepare`` only derives the run; what it
+derives checks the rest: the shapes of x0 and P, and the ranges a component
+owns (the gains, sigma_i and b_i in ``control``, epsilon in ``graph``, rho
+and q in ``dynamics``).
 
 A config file is one flat JSON object whose keys match SimConfig's fields.
 Optional keys take documented defaults (h = 0.01, integrator = rk4,
@@ -88,6 +90,12 @@ def _check_field(name: str, kind, v) -> None:
         raise ConfigError(f"{name} must be {what}, got {v!r}")
 
 
+def _frozen(v):
+    """``v`` with each list or array in it made a tuple and each numpy scalar a Python one."""
+    v = v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+    return tuple(map(_frozen, v)) if isinstance(v, (list, tuple)) else v
+
+
 def check_fits(n_rows, row_bytes: int, what: str, fix: str = "shorten duration or raise h") -> None:
     """Refuse the ``n_rows`` x ``row_bytes`` bytes ``what`` needs beyond this machine's memory."""
     need = n_rows * row_bytes
@@ -106,27 +114,27 @@ def check_fits(n_rows, row_bytes: int, what: str, fix: str = "shorten duration o
 class SimConfig:
     """Complete description of one simulation run, checked when it is made.
 
-    Each field's ``metadata["kind"]`` is its check. Only ``b``
-    and ``epsilon`` may be None, their default, for b_i = 1/(5 l_ii) and
-    epsilon = 1/lambda_max(L). ``seed`` is reserved for future stochastic
-    extensions and unused: runs are deterministic. ``check_synchrony`` is
-    accepted and echoed but does nothing: with one stored estimate per agent
-    the copies cannot disagree, so ``sync_mismatches`` is always 0.
+    Each field's ``metadata["kind"]`` is its check, and ``_frozen`` makes the
+    copy it keeps. Only ``b`` and ``epsilon`` may be None, their default, for
+    b_i = 1/(5 l_ii) and epsilon = 1/lambda_max(L). ``seed`` is unused: runs
+    are deterministic. ``check_synchrony`` is accepted and echoed but does
+    nothing: with one stored estimate per agent the copies cannot disagree,
+    so ``sync_mismatches`` is always 0.
     """
 
     n_agents: int = field(metadata={"kind": "count"})
-    edges: list = field(metadata={"kind": "edges"})
-    x0: list = field(metadata={"kind": "array"})
+    edges: tuple = field(metadata={"kind": "edges"})
+    x0: tuple = field(metadata={"kind": "array"})
     duration: float = field(metadata={"kind": "non-negative"})
     ctc: str = field(metadata={"kind": CTC_VARIANTS})
     kappa1: float = field(metadata={"kind": "real"})
     kappa2: float = field(metadata={"kind": "real"})
     sigma: object = field(metadata={"kind": "array"})
-    P: list = field(metadata={"kind": "array"})
+    P: tuple = field(metadata={"kind": "array"})
     rho: float = field(metadata={"kind": "real"})
     q: float = field(metadata={"kind": "real"})
-    theta: list = field(metadata={"kind": "array"})
-    theta_hat: list = field(metadata={"kind": "array"})
+    theta: tuple = field(metadata={"kind": "array"})
+    theta_hat: tuple = field(metadata={"kind": "array"})
     model: str = field(default="paper-sys", metadata={"kind": "name"})
     h: float = field(default=0.01, metadata={"kind": "positive"})
     integrator: str = field(default="rk4", metadata={"kind": INTEGRATORS})
@@ -142,6 +150,7 @@ class SimConfig:
             v = getattr(self, f.name)
             if not (v is None and f.default is None):
                 _check_field(f.name, f.metadata["kind"], v)
+            object.__setattr__(self, f.name, _frozen(v))
         n = self.n_agents
         check_fits(n * n, 8, f"the {n} x {n} adjacency of n_agents = {n}", "lower n_agents")
         steps = self.duration / self.h
@@ -161,13 +170,7 @@ class SimConfig:
         """JSON-ready form, one key per field."""
 
         def plain(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, (list, tuple)):
-                return [plain(u) for u in v]
-            return v
+            return [plain(u) for u in v] if isinstance(v, tuple) else v
 
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
@@ -176,7 +179,7 @@ class SimConfig:
 class Prepared:
     """A validated config and what it derives.
 
-    ``n_steps`` is duration/h; h and the integrator are read from ``cfg``.
+    The step count, h and the integrator are read from ``cfg``.
     The step loop reads a ``lockstep.Lockstep`` built from one or more of
     these, never a ``Prepared`` itself.
     """
@@ -188,7 +191,6 @@ class Prepared:
     params: TriggerParams
     cert: CmfCertificate
     x0: np.ndarray
-    n_steps: int
 
 
 def prepare(cfg: SimConfig) -> Prepared:
@@ -203,11 +205,15 @@ def prepare(cfg: SimConfig) -> Prepared:
 
     x0 = np.asarray(cfg.x0, dtype=float)
     if x0.shape != (cfg.n_agents, model.state_dim):
-        raise ConfigError(f"x0 must have shape {(cfg.n_agents, model.state_dim)}, got {x0.shape}")
+        raise ConfigError(
+            f"x0 must have shape {(cfg.n_agents, model.state_dim)}, got {x0.shape}"
+        )
 
     P = np.asarray(cfg.P, dtype=float)
     if P.shape != (model.state_dim, model.state_dim):
-        raise ConfigError(f"P must have shape {(model.state_dim, model.state_dim)}, got {P.shape}")
+        raise ConfigError(
+            f"P must have shape {(model.state_dim, model.state_dim)}, got {P.shape}"
+        )
     cert = CmfCertificate(P=P, rho=cfg.rho, q=cfg.q)
     check_gain_condition(cfg.kappa1, cfg.rho, lap.mu)
     params = build_trigger_params(
@@ -220,7 +226,7 @@ def prepare(cfg: SimConfig) -> Prepared:
         b=cfg.b,
         xi=cfg.xi,
     )
-    return Prepared(cfg, model, graph, lap, params, cert, x0, cfg.n_steps)
+    return Prepared(cfg, model, graph, lap, params, cert, x0)
 
 
 _FIG1_EDGES = [[1, 2, 1.0], [2, 3, 1.0], [2, 5, 1.0], [3, 4, 1.0]]
@@ -284,10 +290,13 @@ _REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
 
 def preset_config(name: str) -> dict:
     """Canonical dict form of a named preset."""
+    presets = _preset_dicts()
     try:
-        return _preset_dicts()[name]
+        return presets[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise ConfigError(f"unknown preset {name!r}; available: {PRESET_NAMES}") from None
+        raise ConfigError(
+            f"unknown preset {name!r}; available: {PRESET_NAMES}"
+        ) from None
 
 
 def config_from_dict(data: dict, **overrides) -> SimConfig:

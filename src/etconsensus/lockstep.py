@@ -166,7 +166,7 @@ def lockstep(preps) -> Lockstep:
         wQw=forms[1, 1],
         h=first.cfg.h,
         integrator=first.cfg.integrator,
-        n_steps=first.n_steps,
+        n_steps=first.cfg.n_steps,
         leaders=n_members,
         member_rows=tuple(
             np.array([place(b, i) for i in range(n_agents)]) for b in range(n_members)

@@ -229,7 +229,7 @@ class RunSink:
 
     def __init__(self, prep, out_dir=None, lipschitz: LipschitzData | None = None):
         n_agents, dim = prep.x0.shape
-        rows = prep.n_steps + 1
+        rows = prep.cfg.n_steps + 1
         dump = prep.cfg.dump_estimates
         est = ("est",) if dump else ()
         row_bytes = 8 * (n_agents + 1)
@@ -240,7 +240,7 @@ class RunSink:
         else:
             self.series = (("w_norm",) if prep.cfg.ctc == "practical" else ()) + est
             self.keep = ()
-        check_fits(rows, row_bytes, f"duration/h = {prep.n_steps} steps")
+        check_fits(rows, row_bytes, f"duration/h = {prep.cfg.n_steps} steps")
         self.prep = prep
         self.lipschitz = lipschitz
         self.csv = None if out_dir is None else CsvWriter(out_dir, n_agents, dim, dump)
@@ -357,7 +357,7 @@ def _read_states(path: Path, prep) -> np.ndarray:
             if fh.readline() != header:
                 raise ValueError(f"its header is not {header.strip()!r}")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if not 0 < len(data) <= prep.n_steps + 1 or data.shape[1] != header.count(",") + 1:
+        if not 0 < len(data) <= prep.cfg.n_steps + 1 or data.shape[1] != header.count(",") + 1:
             raise ValueError(f"it holds {data.shape} values, not up to duration/h + 1 full rows")
         if not np.array_equal(data[:, 0], np.arange(len(data)) * prep.cfg.h):
             raise ValueError("its t column is not k * h, k = 0, 1, ...")

@@ -251,7 +251,7 @@ def run_reference(prep: Prepared) -> RunRecord:
     """The bank-form run of a prepared config, with its synchrony mismatch count."""
     layout = bank_layout(prep)
     n_agents = prep.graph.n_agents
-    rows = prep.n_steps + 1
+    rows = prep.cfg.n_steps + 1
     states = np.empty((rows, n_agents, prep.model.state_dim))
     flags = np.zeros((rows, n_agents), dtype=bool)
     delta, threshold, w_norm, e_norm = (np.empty((rows, n_agents)) for _ in range(4))

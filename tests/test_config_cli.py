@@ -12,6 +12,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etconsensus
@@ -24,6 +25,7 @@ from etconsensus.config import (
     config_from_dict,
     load_config,
     load_preset,
+    prepare,
     preset_config,
 )
 from etconsensus.errors import ConfigError, UsageError
@@ -98,7 +100,7 @@ class TestPresets:
     def test_load_preset_returns_the_prepared_preset(self):
         prep = load_preset("paper-asym-040", duration=2.0)
         assert prep.cfg.to_dict() == {**preset_config("paper-asym-040"), "duration": 2.0}
-        assert prep.n_steps == 200
+        assert prep.cfg.n_steps == 200
 
 
 class TestConfigFiles:
@@ -140,6 +142,19 @@ class TestConfigFiles:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.h = -0.01
         assert cfg.h == 0.01
+
+    def test_a_checked_config_keeps_its_own_values(self):
+        d = preset_config("paper-asym-040")
+        d["sigma"] = np.array(d["sigma"])
+        cfg = config_from_dict(d)
+        d["x0"][0][0] = float("nan")
+        d["edges"].append([1, 1])
+        d["sigma"][0] = 2.0
+        with pytest.raises(TypeError):
+            cfg.x0[0][0] = float("nan")
+        assert cfg.to_dict() == preset_config("paper-asym-040")
+        assert np.isfinite(prepare(cfg).x0).all()
+        assert dataclasses.replace(cfg, h=0.02) == dataclasses.replace(cfg, h=np.float64(0.02))
 
     def test_bad_json(self, tmp_path):
         p = tmp_path / "c.json"

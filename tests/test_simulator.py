@@ -457,7 +457,7 @@ class TestDisagreement:
         core = lockstep([prep])
         world = initial_world(core)
         moved = 0
-        for _ in range(prep.n_steps):
+        for _ in range(prep.cfg.n_steps):
             kept, kept_w = world, world.w.copy()
             w = _disagreement(world.xhat, core)
             w_copy = w.copy()
@@ -467,7 +467,7 @@ class TestDisagreement:
             assert np.array_equal(w, w_copy)
             assert not np.shares_memory(world.w, core.sums)
             moved += not np.array_equal(world.w, kept_w)
-        assert moved > prep.n_steps // 2
+        assert moved > prep.cfg.n_steps // 2
 
     def test_kept_worlds_and_records_never_change(self):
         """The core reuses its stage, drive and trigger buffers on every step, so
@@ -482,7 +482,7 @@ class TestDisagreement:
         core = lockstep(preps[:1])
         world = initial_world(core)
         kept = []
-        for _ in range(preps[0].n_steps):
+        for _ in range(preps[0].cfg.n_steps):
             world = step(world, core)
             kept.append((world, arrays(world), arrays(world.trigger)))
         assert len(kept[0][1]) == 3 and len(kept[0][2]) == 5
@@ -504,14 +504,14 @@ class TestDisagreement:
         rec = run(prep)
         world = initial_world(core)
         assert np.array_equal(world.w, _disagreement(world.xhat, core))
-        for k in range(1, prep.n_steps + 1):
+        for k in range(1, prep.cfg.n_steps + 1):
             world = step(world, core)
             assert np.array_equal(world.w, _disagreement(world.xhat, core))
             assert np.array_equal(world.x, rec.states[k])
             assert np.array_equal(world.trigger.fired, rec.event_flags[k])
             assert np.array_equal(world.trigger.delta, rec.delta[k])
             assert np.array_equal(world.trigger.threshold, rec.threshold[k])
-        assert 0 < rec.event_flags.any(axis=1).sum() < prep.n_steps
+        assert 0 < rec.event_flags.any(axis=1).sum() < prep.cfg.n_steps
 
 
 class TestBankReference:
