@@ -90,10 +90,10 @@ def _check_field(name: str, kind, v) -> None:
         raise ConfigError(f"{name} must be {what}, got {v!r}")
 
 
-def _frozen(v):
-    """``v`` with each list or array in it made a tuple and each numpy scalar a Python one."""
+def _nested(v, box):
+    """``v`` with each list, tuple or array in it made a ``box`` and each numpy scalar a Python one."""
     v = v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
-    return tuple(map(_frozen, v)) if isinstance(v, (list, tuple)) else v
+    return box(_nested(u, box) for u in v) if isinstance(v, (list, tuple)) else v
 
 
 def check_fits(n_rows, row_bytes: int, what: str, fix: str = "shorten duration or raise h") -> None:
@@ -114,7 +114,7 @@ def check_fits(n_rows, row_bytes: int, what: str, fix: str = "shorten duration o
 class SimConfig:
     """Complete description of one simulation run, checked when it is made.
 
-    Each field's ``metadata["kind"]`` is its check, and ``_frozen`` makes the
+    Each field's ``metadata["kind"]`` is its check, and ``_nested`` makes the
     copy it keeps. Only ``b`` and ``epsilon`` may be None, their default, for
     b_i = 1/(5 l_ii) and epsilon = 1/lambda_max(L). ``seed`` is unused: runs
     are deterministic. ``check_synchrony`` is accepted and echoed but does
@@ -150,7 +150,7 @@ class SimConfig:
             v = getattr(self, f.name)
             if not (v is None and f.default is None):
                 _check_field(f.name, f.metadata["kind"], v)
-            object.__setattr__(self, f.name, _frozen(v))
+            object.__setattr__(self, f.name, _nested(v, tuple))
         n = self.n_agents
         check_fits(n * n, 8, f"the {n} x {n} adjacency of n_agents = {n}", "lower n_agents")
         steps = self.duration / self.h
@@ -168,11 +168,7 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         """JSON-ready form, one key per field."""
-
-        def plain(v):
-            return [plain(u) for u in v] if isinstance(v, tuple) else v
-
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: _nested(getattr(self, f.name), list) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)
