@@ -116,10 +116,11 @@ class SimConfig:
 
     Each field's ``metadata["kind"]`` is its check, and ``_nested`` makes the
     copy it keeps. Only ``b`` and ``epsilon`` may be None, their default, for
-    b_i = 1/(5 l_ii) and epsilon = 1/lambda_max(L). ``seed`` is unused: runs
-    are deterministic. ``check_synchrony`` is accepted and echoed but does
-    nothing: with one stored estimate per agent the copies cannot disagree,
-    so ``sync_mismatches`` is always 0.
+    b_i = 1/(5 l_ii) and epsilon = 1/lambda_max(L). ``seed`` is reserved for
+    future stochastic extensions and unused: runs are deterministic.
+    ``check_synchrony`` is accepted and echoed but does nothing: with one
+    stored estimate per agent the copies cannot disagree, so
+    ``sync_mismatches`` is always 0.
     """
 
     n_agents: int = field(metadata={"kind": "count"})
