@@ -33,56 +33,47 @@ class MetricReport:
         return asdict(self)
 
 
-# Samples per block of a five-agent record when a pass over the states
-# builds temporaries; wider records take proportionally fewer samples.
-_NORM_BLOCK = 256
+# Samples per block wherever a run's samples are passed over a block at a time:
+# from the step loop to the sinks, from a kept record to its CSVs, and below.
+SAMPLES_PER_BLOCK = 64
 
 
-def block_rows(n_agents: int) -> int:
-    """Samples per block, so that a block holds about _NORM_BLOCK * 5 agent states."""
-    return max(1, _NORM_BLOCK * 5 // n_agents)
+def sample_blocks(n_samples: int):
+    """The slices of ``SAMPLES_PER_BLOCK`` samples, in order, that cover ``n_samples``.
+
+    The passes below take their samples a block at a time, so their
+    temporaries stay small. Each computes every sample on its own, so
+    neither the blocking nor a caller that passes a few samples at a time
+    changes the bits.
+    """
+    return (slice(s, s + SAMPLES_PER_BLOCK) for s in range(0, n_samples, SAMPLES_PER_BLOCK))
 
 
 def r_norms(states: np.ndarray) -> np.ndarray:
-    """|r_i(k)|, every agent's distance from the leader at every sample, (samples, N).
-
-    Samples are taken in blocks of ``block_rows`` rows, so the temporaries
-    stay small; every sample is computed on its own, so neither the blocking
-    nor a caller that passes a few samples at a time changes the bits.
-    """
-    n_samples, n_agents, _ = states.shape
-    out = np.empty((n_samples, n_agents))
-    rows = block_rows(n_agents)
-    for start in range(0, n_samples, rows):
-        block = states[start : start + rows]
-        r = block - block[:, :1, :]
-        out[start : start + rows] = np.sqrt((r * r).sum(axis=2))
+    """|r_i(k)|, every agent's distance from the leader at every sample, (samples, N)."""
+    out = np.empty(states.shape[:2])
+    for span in sample_blocks(len(states)):
+        r = states[span] - states[span, :1]
+        out[span] = np.sqrt((r * r).sum(axis=2))
     return out
 
 
 def v_series(states: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """V(k) = sum over followers of r_i' P r_i, in blocks like ``r_norms``."""
-    n_samples, n_agents, _ = states.shape
-    if out is None:
-        out = np.empty(n_samples)
-    rows = block_rows(n_agents)
-    for start in range(0, n_samples, rows):
-        block = states[start : start + rows]
-        rf = (block - block[:, :1, :])[:, 1:, :]
-        out[start : start + rows] = np.einsum("kin,nm,kim->k", rf, P, rf)
+    """V(k) = sum over followers of r_i' P r_i."""
+    out = np.empty(len(states)) if out is None else out
+    for span in sample_blocks(len(states)):
+        rf = (states[span] - states[span, :1])[:, 1:]
+        out[span] = np.einsum("kin,nm,kim->k", rf, P, rf)
     return out
 
 
 def dist_series(states: np.ndarray) -> np.ndarray:
     """The squared spread of the states about their mean at every sample."""
-    n_samples, n_agents, _ = states.shape
-    out = np.empty(n_samples)
-    rows = block_rows(n_agents)
-    for start in range(0, n_samples, rows):
-        block = states[start : start + rows]
-        centered = block - block.mean(axis=1, keepdims=True)
+    out = np.empty(len(states))
+    for span in sample_blocks(len(states)):
+        centered = states[span] - states[span].mean(axis=1, keepdims=True)
         centered *= centered
-        out[start : start + rows] = centered.sum(axis=(1, 2))
+        out[span] = centered.sum(axis=(1, 2))
     return out
 
 

@@ -4,8 +4,8 @@
 its summary reports are worked out: V, the consensus sum (from each
 agent's distance from the leader, summed at close), the event counts and
 the Zeno guard's inputs, each from the rows as they arrive. ``RunSink(prep,
-out_dir)`` streams the CSVs through ``CsvWriter``, a block of rows at a
-time, so the text of a file is never held in memory at once;
+out_dir)`` streams the CSVs through ``CsvWriter``, a block of samples at
+a time, so the text of a file is never held in memory at once;
 ``RunSink(prep)`` keeps every sample in memory instead. Either way ``close``
 returns the run's ``RunRecord``.
 
@@ -32,9 +32,6 @@ from .control import ZenoGuardReport, practical_consensus_bound, zeno_guard_repo
 from .dynamics import LipschitzData, estimate_lipschitz, trig_grid
 from .errors import ConfigError, EtcError
 from .graph import Graph
-
-# Rows of a record formatted per block by write_run_outputs.
-_WRITE_BLOCK = 256
 
 
 def derived_constants(prep) -> dict:
@@ -314,7 +311,7 @@ def write_run_outputs(
 
     Every summary key is written here, ``bounds`` and ``zeno_guard`` when
     the record has them. A streamed record's CSVs are in its directory
-    already. Kept samples go through the CSV writer in blocks of rows.
+    already. Kept samples go through the CSV writer in ``metrics.sample_blocks``.
     ``report`` is the record's metric report when the caller already has it;
     otherwise it is computed here.
     """
@@ -323,8 +320,7 @@ def write_run_outputs(
         est = record.est_series
         writer = CsvWriter(out, *record.states.shape[1:], est is not None)
         times = record.times
-        for start in range(0, len(times), _WRITE_BLOCK):
-            block = slice(start, start + _WRITE_BLOCK)
+        for block in metrics_mod.sample_blocks(len(times)):
             writer.put(times[block], record.states[block], record.event_flags[block],
                        None if est is None else est[block])
     if report is None:

@@ -52,9 +52,10 @@ from .control import (  # the Zeno guard is part of this module's API
     zeno_guard_report,
 )
 from .csvfork import placed
-from .errors import NumericsError
+from .errors import NumericsError, UsageError
 from .estimation import EstimatorBank, apply_broadcast, nonfinite, propagate_all
 from .lockstep import Lockstep, lockstep
+from .metrics import SAMPLES_PER_BLOCK
 from .outputs import (  # records and their files are part of this module's API
     RunRecord,
     RunSink,
@@ -62,9 +63,6 @@ from .outputs import (  # records and their files are part of this module's API
     practical_lipschitz,
     write_run_outputs,
 )
-
-# Steps whose rows are buffered before each member's sink takes them.
-_STEP_BLOCK = 64
 
 
 @dataclass
@@ -208,54 +206,49 @@ def _assemble_record(
     return sink.close(runtime, error)
 
 
+# How each series' row, one entry per agent of the run or union, is read from a stepped world.
+_ROWS = {
+    "states": lambda world: world.x,
+    "est": lambda world: world.xhat,
+    "flags": lambda world: world.trigger.fired,
+    "delta": lambda world: world.trigger.delta,
+    "threshold": lambda world: world.trigger.threshold,
+    "w_norm": lambda world: np.sqrt(np.add.reduce(world.trigger.w * world.trigger.w, 1)),
+    "e_norm": lambda world: np.sqrt(np.add.reduce(world.trigger.e * world.trigger.e, 1)),
+}
+
+
 class _Buffer:
     """The last steps' rows of every member, handed to their sinks a block at a time.
 
-    Each sink gets its member's columns of ``states``, ``flags`` and every
-    series it names, C-contiguous (``np.take``; a fancy index on the agent
-    axis would come back agent-axis major).
+    Every series a sink names is read through ``_ROWS`` and copied into a
+    block shaped and typed like its row in the world the buffer is made from.
+    Each sink gets its member's columns of ``states``, ``flags`` and its
+    series, C-contiguous (``np.take``; a fancy index on the agent axis would
+    come back agent-axis major).
     """
 
-    def __init__(self, core: Lockstep, names: tuple, sinks: list):
-        n_rows, n = core.x0.shape
-        self.arrays = {
-            name: np.zeros(
-                (_STEP_BLOCK, n_rows, n) if name in ("states", "est") else (_STEP_BLOCK, n_rows),
-                dtype=bool if name == "flags" else float,
-            )
-            for name in names
-        }
-        get = self.arrays.get
-        self.states, self.flags, self.est = get("states"), get("flags"), get("est")
-        self.delta, self.threshold = get("delta"), get("threshold")
-        self.w_norm, self.e_norm = get("w_norm"), get("e_norm")
-        self.members = tuple(zip(sinks, core.member_rows))
+    def __init__(self, world: WorldState, sinks: list, member_rows: tuple):
+        self.blocks = {}
+        for name in ("states", "flags", *(s for sink in sinks for s in sink.series)):
+            row = _ROWS[name](world)
+            self.blocks[name] = np.empty((SAMPLES_PER_BLOCK, *row.shape), row.dtype)
+        self.members = tuple(zip(sinks, member_rows))
         self.j = 0
 
     def keep(self, world: WorldState) -> None:
         j = self.j
-        if j == _STEP_BLOCK:
+        if j == SAMPLES_PER_BLOCK:
             self.flush()
             j = 0
-        tr = world.trigger
-        self.states[j] = world.x
-        self.flags[j] = tr.fired
-        if self.delta is not None:
-            self.delta[j] = tr.delta
-        if self.threshold is not None:
-            self.threshold[j] = tr.threshold
-        if self.w_norm is not None:
-            np.sqrt(np.add.reduce(tr.w * tr.w, 1), self.w_norm[j])
-        if self.e_norm is not None:
-            np.sqrt(np.add.reduce(tr.e * tr.e, 1), self.e_norm[j])
-        if self.est is not None:
-            self.est[j] = world.xhat
+        for name, block in self.blocks.items():
+            block[j] = _ROWS[name](world)
         self.j = j + 1
 
     def flush(self) -> None:
         j = self.j
         for sink, rows in self.members:
-            sink.put({name: np.take(self.arrays[name][:j], rows, axis=1)
+            sink.put({name: np.take(self.blocks[name][:j], rows, axis=1)
                       for name in ("states", "flags", *sink.series)})
         self.j = 0
 
@@ -265,32 +258,37 @@ def run_batch(preps, sinks=None) -> list:
 
     The runs must agree on model, integrator, h, step count, N and P (see
     ``lockstep``); edges, x0, parameters and gains may differ. Every member is
-    bit for bit its solo ``run``. Each member's rows go to its sink a block
-    of steps at a time: ``sink.put(rows)`` gets a dict of its samples
-    (``states``, ``flags`` and every series the sink names in its
-    ``series``: trigger series, and ``est`` for dumped estimates), and
-    ``sink.close(runtime, error)`` gives the member's result. Without sinks
-    every member is kept in memory by an ``outputs.RunSink``, given its
-    Lipschitz data when practical, and comes back as its ``RunRecord``. A
-    member that becomes non-finite is closed after its last finite row with
-    the error its solo run raises, read from its own rows of the failing
-    step, and leaves the batch; the others carry on. Returns the results in
-    member order; ``runtime`` is the batch's loop time up to the member's
-    close. The CSV text of streamed sinks may be made by a forked writer
-    process (``csvfork.placed``), so a file may still be written after its
-    sink closes; every file is complete when this returns.
+    bit for bit its solo ``run``. Each member has exactly one sink, and its
+    rows go there ``metrics.SAMPLES_PER_BLOCK`` steps at a time:
+    ``sink.put(rows)`` gets a dict of its samples (``states``, ``flags`` and
+    every series the sink names in its ``series``: trigger series, and ``est``
+    for dumped estimates), and ``sink.close(runtime, error)`` gives the
+    member's result. Without sinks every member is kept in memory by an
+    ``outputs.RunSink``, given its Lipschitz data when practical, and comes
+    back as its ``RunRecord``. A member that becomes non-finite is closed
+    after its last finite row with the error its solo run raises, read from
+    its own rows of the failing step, and leaves the batch; the others carry
+    on. Returns the results in member order, ``[]`` for no runs; ``runtime``
+    is the batch's loop time up to the member's close. The CSV text of
+    streamed sinks may be made by a forked writer process
+    (``csvfork.placed``), so a file may still be written after its sink
+    closes; every file is complete when this returns.
     """
     preps = list(preps)
     if sinks is None:
         known = {}  # Lipschitz data per model and theta pair, each estimated before its sink opens
         sinks = [RunSink(p, None, practical_lipschitz(p, known)) for p in preps]
     sinks = list(sinks)
-    names = ("states", "flags", *dict.fromkeys(s for k in sinks for s in k.series))
+    if len(sinks) != len(preps):
+        raise UsageError(
+            f"run_batch takes one sink per run, got {len(preps)} run(s) and {len(sinks)} sink(s)")
+    if not preps:
+        return []
     results = [None] * len(preps)
     alive = list(range(len(preps)))
     core = lockstep(preps)
     world = initial_world(core)
-    buf = _Buffer(core, names, sinks)
+    buf = _Buffer(world, sinks, core.member_rows)
     buf.keep(world)
     start = time.perf_counter()
     with placed(sinks):
@@ -314,8 +312,9 @@ def run_batch(preps, sinks=None) -> list:
                 rows = np.empty(len(core.x0), dtype=np.intp)
                 for pos, new_rows in zip(kept, core.member_rows):
                     rows[new_rows] = old.member_rows[pos]
-                world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], None)
-                buf = _Buffer(core, names, [sinks[b] for b in alive])
+                trigger = TriggerState(*(a[rows] for a in vars(world.trigger).values()))
+                world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], trigger)
+                buf = _Buffer(world, [sinks[b] for b in alive], core.member_rows)
                 continue
             buf.keep(world)
             k += 1

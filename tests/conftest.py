@@ -11,9 +11,14 @@ import numpy as np
 import pytest
 
 from etconsensus.config import config_from_dict, preset_config
+from etconsensus.metrics import SAMPLES_PER_BLOCK
 from etconsensus.dynamics import estimate_lipschitz, make_model, trig_grid
 from etconsensus.graph import Graph
 from etconsensus.simulator import run
+
+# Sample counts at the edges of the blocks a run's samples are passed in:
+# one short of a block, one block, one over, and two blocks and one.
+BLOCK_EDGES = (SAMPLES_PER_BLOCK - 1, SAMPLES_PER_BLOCK, SAMPLES_PER_BLOCK + 1, 2 * SAMPLES_PER_BLOCK + 1)
 
 
 def drift(model, x, theta) -> np.ndarray:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import BLOCK_EDGES
 from etconsensus import metrics
 from etconsensus.cli import main
 from etconsensus.config import config_from_dict, load_preset, prepare_dict, preset_config
@@ -104,6 +105,30 @@ class TestMembersEqualSoloRuns:
         assert batch_key(config_from_dict(base, duration=2.0)) != batch_key(given)
 
 
+class TestOneSinkPerRun:
+    """Runs and sinks pair one to one; a mismatch is refused before any step."""
+
+    def test_more_runs_than_sinks(self):
+        preps = [prepare_dict(preset_config(name), duration=0.5)
+                 for name in ("paper-asym-040", "paper-asym-035")]
+        sink = RunSink(preps[0])
+        with pytest.raises(UsageError, match="got 2 run.s. and 1 sink"):
+            run_batch(preps, [sink])
+        assert sink.n == 0
+
+    def test_more_sinks_than_runs(self, tmp_path):
+        prep = prepare_dict(preset_config("paper-asym-040"), duration=0.5)
+        sinks = [RunSink(prep, tmp_path / name) for name in ("a", "b")]
+        with pytest.raises(UsageError, match="got 1 run.s. and 2 sink"):
+            run_batch([prep], sinks)
+        assert [sink.n for sink in sinks] == [0, 0]
+        for name in ("a", "b"):
+            assert (tmp_path / name / "states.csv").read_text().count("\n") == 1
+
+    def test_no_runs_give_no_results(self):
+        assert run_batch([]) == []
+
+
 def test_failing_member_leaves_the_batch():
     """A member going non-finite closes with its solo run's error; the rest carry on as alone.
 
@@ -152,13 +177,21 @@ def _run_dir_equal(a: Path, b: Path):
 
 
 @pytest.mark.parametrize(
-    "preset,integrator",
-    [("paper-asym-040", "rk4"), ("paper-zeno-040", "euler"), ("paper-zeno-035", "rk4")],
+    "preset,integrator,rows",
+    [
+        pytest.param("paper-asym-040", "rk4", 1001, id="paper-asym-040-rk4"),
+        pytest.param("paper-zeno-040", "euler", 1001, id="paper-zeno-040-euler"),
+        pytest.param("paper-zeno-035", "rk4", 1001, id="paper-zeno-035-rk4"),
+        *(pytest.param(preset, "rk4", rows, id=f"{preset}-rk4-{rows}-rows")
+          for preset in ("paper-asym-040", "paper-zeno-040") for rows in BLOCK_EDGES),
+    ],
 )
-def test_streamed_run_matches_the_record(preset, integrator, tmp_path):
-    """One formatter: the sink's files and summary fields equal the record's."""
-    prep = prepare_dict(preset_config(preset), duration=10.0, integrator=integrator,
+def test_streamed_run_matches_the_record(preset, integrator, rows, tmp_path):
+    """One formatter: the sink's files and summary fields equal the record's, at block edges too."""
+    cfg = preset_config(preset)
+    prep = prepare_dict(cfg, duration=(rows - 1) * cfg["h"], integrator=integrator,
                         dump_estimates=True)
+    assert prep.cfg.n_steps + 1 == rows
     lip = practical_lipschitz(prep, {})
     (streamed,) = run_batch([prep], [RunSink(prep, tmp_path / "streamed", lip)])
     record = run(prep)

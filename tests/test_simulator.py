@@ -8,9 +8,9 @@ import pytest
 
 import bank_reference
 from bank_reference import compute_wi, make_banks, run_reference
-from conftest import drift, paper_cfg, paper_dict, random_connected_graph
+from conftest import BLOCK_EDGES, drift, paper_cfg, paper_dict, random_connected_graph
 from etconsensus import control
-from etconsensus.config import load_preset, prepare_dict
+from etconsensus.config import load_preset, prepare_dict, preset_config
 from etconsensus.dynamics import SystemModel, make_model, register_model
 from etconsensus.errors import ConfigError, NumericsError, UsageError
 from etconsensus.graph import Graph
@@ -522,6 +522,17 @@ class TestBankReference:
         rec = run(prep)
         ref = run_reference(prep)
         assert ref.sync_mismatches == 0
+        for name in ("states", "event_flags", "delta", "threshold", "w_norm", "e_norm"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    @pytest.mark.parametrize("preset", ["paper-asym-040", "paper-zeno-040"])
+    def test_block_edges_match_reference(self, preset, rows):
+        cfg = preset_config(preset)
+        prep = prepare_dict(cfg, duration=(rows - 1) * cfg["h"])
+        rec = run(prep)
+        ref = run_reference(prep)
+        assert len(rec.states) == rows
         for name in ("states", "event_flags", "delta", "threshold", "w_norm", "e_norm"):
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
 

@@ -11,11 +11,11 @@ import math
 import pytest
 
 from conftest import paper_cfg
-from etconsensus import outputs
+from etconsensus import metrics
 from etconsensus.errors import NumericsError
 from etconsensus.simulator import run, write_run_outputs
 
-BLOCK = outputs._WRITE_BLOCK
+BLOCK = metrics.SAMPLES_PER_BLOCK
 
 
 def _fmt(v) -> str:
