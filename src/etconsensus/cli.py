@@ -326,10 +326,9 @@ def cmd_plotdata(args) -> int:
     (out / "plot_states.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["t,v,dist2"]
+    dist = record.dist_series
     for k in idx:
-        lines.append(
-            f"{_fmt_sig(k * record.h)},{_fmt_sig(record.v_series[k])},{_fmt_sig(record.dist_series[k])}"
-        )
+        lines.append(f"{_fmt_sig(k * record.h)},{_fmt_sig(record.v_series[k])},{_fmt_sig(dist[k])}")
     (out / "plot_v.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["t,agent"]

@@ -18,10 +18,9 @@ from .integrate import stage_buffers
 class Lockstep(SimpleNamespace):
     """What the step loop reads: the rows of B prepared runs and their coefficients.
 
-    Rows are agents: the B leaders first (rows 0..B-1), then every run's
-    followers in run order, so the control term goes to one contiguous
-    slice ``[leaders:]``; ``member_rows`` gives each run's rows in agent
-    order. The disagreement layout takes the rows in group order: by closed
+    Rows are agents, every run's N laid end to end: agent i of run b is row
+    b N + i, and ``member_rows[b]`` is the slice of run b's rows. The
+    disagreement layout takes the rows in group order: by closed
     neighbourhood size k, then by row. ``flat_idx`` joins their closed
     neighbourhoods, each in agent order, and ``flat_own`` repeats each row
     k times, so ``xhat[flat_idx] - xhat[flat_own]`` holds every difference
@@ -35,16 +34,16 @@ class Lockstep(SimpleNamespace):
     behind every trigger quadratic form; ``BtPt`` and ``Bt`` are (B'P)' and
     B'. The trigger coefficients are per row: ``s_coeff``, ``sig_theta`` =
     sigma theta_coeff, ``two_kappa`` = 2 kappa and ``xi``; ``neg_kappa`` =
-    -kappa is a column over the followers.
+    -kappa is a column over the rows.
 
     The step's other buffers, none of which a step hands out: ``y`` takes
     [x; xhat] and ``stages`` are the integrator's. ``field(y, out)`` writes
     f(y, theta) (theta_true on the true rows, theta_hat below) plus a drive
-    that is -0.0, which leaves every float as it is, but on the follower
-    plant rows ``drive_rows``, where each step writes B u. ``ewQ`` holds
-    [eQ; wQ], ``prods`` each of them times each of e and w, and ``forms``
-    their row sums, with the views ``eQe``, ``wQe`` and ``wQw`` (e'Qw is
-    formed too and not read).
+    that is -0.0, which leaves every float as it is, but on the plant rows
+    ``plant_drive``, where each step writes B u, then -0.0 again into the
+    leader rows ``leader_drive``. ``ewQ`` holds [eQ; wQ], ``prods`` each of
+    them times each of e and w, and ``forms`` their row sums, with the views
+    ``eQe``, ``wQe`` and ``wQw`` (e'Qw is formed too and not read).
     """
 
 
@@ -108,10 +107,10 @@ def lockstep(preps) -> Lockstep:
 
     Edges, x0, parameters and gains may differ between the members; model,
     integrator, h, step count, N and P must not (UsageError). Agent i of
-    member b becomes row b for the leader and B + b (N - 1) + i - 1 for a
-    follower; that map keeps each member's agent order, so every
-    neighbourhood product runs over the same terms in the same order as in
-    the member's own layout, and a single run's rows are its agents.
+    member b becomes row b N + i, so each member's rows are its agents in
+    order, every neighbourhood product runs over the same terms in the same
+    order as in the member's own layout, and a single run's rows are its
+    agents.
     """
     preps = list(preps)
     first = preps[0]
@@ -119,22 +118,18 @@ def lockstep(preps) -> Lockstep:
         if len(set(values)) > 1:
             raise UsageError(f"runs stepped in lockstep must share {name}")
     n_members, n_agents = len(preps), first.graph.n_agents
-
-    def place(b: int, i: int) -> int:
-        return b if i == 0 else n_members + b * (n_agents - 1) + i - 1
-
-    order = [(b, 0) for b in range(n_members)]
-    order += [(b, i) for b in range(n_members) for i in range(1, n_agents)]
-    owner, agent = (np.array(col) for col in zip(*order))
-    neighbourhoods = [closed_neighbourhoods(p.graph) for p in preps]
-    members = [[place(b, j) for j in neighbourhoods[b][i]] for b, i in order]
-    coeffs = [preps[b].lap.L[i, neighbourhoods[b][i]] for b, i in order]
+    owner = np.repeat(np.arange(n_members), n_agents)
+    members, coeffs = [], []
+    for b, p in enumerate(preps):
+        for i, neighbourhood in enumerate(closed_neighbourhoods(p.graph)):
+            members.append([b * n_agents + j for j in neighbourhood])
+            coeffs.append(p.lap.L[i, neighbourhood])
     params = [p.params for p in preps]
     kappa = np.array([q.kappa for q in params])
     theta = np.stack([np.stack((p.model.theta_true, p.model.theta_hat)) for p in preps])
     theta_rows = np.concatenate((theta[owner, 0], theta[owner, 1]))
     f = first.model.f
-    n_rows, n = len(order), first.model.state_dim
+    n_rows, n = len(owner), first.model.state_dim
     drive = np.full((2 * n_rows, n), -0.0)
     ewQ, forms = np.empty((2, n_rows, n)), np.empty((2, 2, n_rows))
 
@@ -143,20 +138,21 @@ def lockstep(preps) -> Lockstep:
         np.add(out, drive, out)
 
     return Lockstep(
-        x0=np.stack([p.x0 for p in preps])[owner, agent],
+        x0=np.concatenate([p.x0 for p in preps]),
         **layout(members, coeffs, n),
         Q=first.params.Q,
         BtPt=first.params.BtP.T,
         Bt=first.model.B.T,
-        neg_kappa=(-kappa)[owner[n_members:], None],
+        neg_kappa=(-kappa)[owner, None],
         two_kappa=(2.0 * kappa)[owner],
-        s_coeff=np.stack([q.s_coeff for q in params])[owner, agent],
-        sig_theta=np.stack([q.sigma * q.theta_coeff for q in params])[owner, agent],
+        s_coeff=np.concatenate([q.s_coeff for q in params]),
+        sig_theta=np.concatenate([q.sigma * q.theta_coeff for q in params]),
         xi=np.array([q.xi for q in params])[owner],
         y=np.empty((2 * n_rows, n)),
         stages=stage_buffers((2 * n_rows, n)),
         field=field,
-        drive_rows=drive[n_members:n_rows],
+        plant_drive=drive[:n_rows],
+        leader_drive=drive[:n_rows:n_agents],
         ewQ=ewQ,
         ewQ_by=ewQ[:, None],
         prods=np.empty((2, 2, n_rows, n)),
@@ -167,8 +163,5 @@ def lockstep(preps) -> Lockstep:
         h=first.cfg.h,
         integrator=first.cfg.integrator,
         n_steps=first.cfg.n_steps,
-        leaders=n_members,
-        member_rows=tuple(
-            np.array([place(b, i) for i in range(n_agents)]) for b in range(n_members)
-        ),
+        member_rows=tuple(slice(b * n_agents, (b + 1) * n_agents) for b in range(n_members)),
     )

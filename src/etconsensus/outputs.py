@@ -367,7 +367,8 @@ def load_run_record(run_dir) -> RunRecord:
 
     The rows go through an in-memory ``RunSink`` of the config in
     summary.json. The trigger series are not written, so the record has none
-    (None). A missing or malformed file is a ConfigError naming it.
+    (None). A missing or malformed file is a ConfigError naming it, a
+    states.csv row or events.csv event whose t is not k * h among them.
     """
     run_dir = Path(run_dir)
     path = run_dir / "summary.json"
@@ -388,7 +389,7 @@ def load_run_record(run_dir) -> RunRecord:
             if line.strip():
                 t, agent = line.split(",")
                 k, i = round(float(t) / prep.cfg.h), int(agent) - 1
-                if not (0 <= k < len(flags) and 0 <= i < flags.shape[1]):
+                if k * prep.cfg.h != float(t) or not (0 <= k < len(flags) and 0 <= i < flags.shape[1]):
                     raise ValueError(f"no sample at t = {t} of agent {agent}")
                 flags[k, i] = True
     except (OSError, ValueError, ArithmeticError) as exc:

@@ -144,11 +144,11 @@ def _advance(world: WorldState, core: Lockstep) -> np.ndarray:
     Zero-order hold: inputs from the estimates at time t, constant over the
     step. The disagreement form equals the control law up to rounding order
     and vanishes exactly when the estimates agree, so a consensus state
-    cannot be perturbed by summation residue. Only follower plant rows get
-    it (``core.drive_rows``).
+    cannot be perturbed by summation residue. It is formed for every plant
+    row, and the leader rows get -0.0 back (``core.leader_drive``).
     """
-    lead = core.leaders
-    np.matmul(core.neg_kappa * (world.w[lead:] @ core.BtPt), core.Bt, core.drive_rows)
+    np.matmul(core.neg_kappa * (world.w @ core.BtPt), core.Bt, core.plant_drive)
+    core.leader_drive[:] = -0.0
     np.concatenate((world.x, world.xhat), out=core.y)
     return propagate_all(core.y, core.field, core.h, core.stages, core.integrator, world.t)
 
@@ -223,9 +223,8 @@ class _Buffer:
 
     Every series a sink names is read through ``_ROWS`` and copied into a
     block shaped and typed like its row in the world the buffer is made from.
-    Each sink gets its member's columns of ``states``, ``flags`` and its
-    series, C-contiguous (``np.take``; a fancy index on the agent axis would
-    come back agent-axis major).
+    Each sink gets a C-contiguous copy of its member's columns of
+    ``states``, ``flags`` and its series.
     """
 
     def __init__(self, world: WorldState, sinks: list, member_rows: tuple):
@@ -248,7 +247,7 @@ class _Buffer:
     def flush(self) -> None:
         j = self.j
         for sink, rows in self.members:
-            sink.put({name: np.take(self.blocks[name][:j], rows, axis=1)
+            sink.put({name: self.blocks[name][:j, rows].copy()
                       for name in ("states", "flags", *sink.series)})
         self.j = 0
 
@@ -308,10 +307,8 @@ def run_batch(preps, sinks=None) -> list:
                 if not kept:
                     return results
                 alive = [alive[pos] for pos in kept]
-                old, core = core, lockstep([preps[b] for b in alive])
-                rows = np.empty(len(core.x0), dtype=np.intp)
-                for pos, new_rows in zip(kept, core.member_rows):
-                    rows[new_rows] = old.member_rows[pos]
+                rows = np.r_[tuple(core.member_rows[pos] for pos in kept)]
+                core = lockstep([preps[b] for b in alive])
                 trigger = TriggerState(*(a[rows] for a in vars(world.trigger).values()))
                 world = WorldState(world.t, world.x[rows], world.xhat[rows], world.w[rows], trigger)
                 buf = _Buffer(world, [sinks[b] for b in alive], core.member_rows)

@@ -503,6 +503,7 @@ class TestMetricsCommand:
             ("summary.json", lambda text: text[:-10]),
             ("events.csv", lambda text: text + "0.5;2\n"),
             ("events.csv", lambda text: text + "0.1,9\n"),
+            ("events.csv", lambda text: text + "0.015,2\n"),  # t not k*h
             ("states.csv", lambda text: text + "0.51,1,2\n"),
             ("states.csv", lambda text: text.replace("\n0.01,", "\n0.0100001,", 1)),  # t not k*h
         ],
@@ -546,6 +547,15 @@ class TestPlotdata:
         # range(0, 51, 7) ends at 49, so the final sample is appended
         assert len(lines) == 1 + 9
         assert float(lines[-1].split(",")[0]) == pytest.approx(0.5)
+
+    def test_spread_is_worked_out_once(self, short_run, tmp_path, monkeypatch):
+        calls = []
+        spread = etconsensus.metrics.dist_series
+        monkeypatch.setattr(etconsensus.metrics, "dist_series",
+                            lambda states: calls.append(1) or spread(states))
+        assert main(["plotdata", "--run", str(short_run), "--out", str(tmp_path / "p"),
+                     "--stride", "10"]) == 0
+        assert len(calls) == 1
 
     def test_bad_stride(self, short_run, tmp_path):
         rc = main(["plotdata", "--run", str(short_run), "--out", str(tmp_path / "p"), "--stride", "0"])

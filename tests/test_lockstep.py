@@ -132,7 +132,7 @@ class TestOneSinkPerRun:
 def test_failing_member_leaves_the_batch():
     """A member going non-finite closes with its solo run's error; the rest carry on as alone.
 
-    A middle member fails; the first fails, which moves every leader row;
+    A middle member fails; the first fails, which moves every other member's rows;
     two fail on the same step; one fails on its estimate, named first, a
     step before another fails on its true state.
     """
